@@ -311,7 +311,7 @@ def miranda_box(beta: float, ensemble: PulseEnsemble) -> Optional[tuple]:
     (absence is reported, never fatal).  The face function of pulse l is
     F_l(s) = s^2 ||u_l||^2 - s^4 int u_l^4 restricted to the pulse's own
     support, which decouples from the other coordinates, so each face
-    check is a single sign evaluation at 5 sampled points per axis.
+    check is one sign evaluation per pulse.
     """
     grid = ensemble.grid
     U = ensemble.components()
@@ -322,29 +322,15 @@ def miranda_box(beta: float, ensemble: PulseEnsemble) -> Optional[tuple]:
         for j in range(i + 1, k):
             if np.dot(w, U[i] ** 2 * U[j] ** 2) > 1e-12 * max(scale, 1e-30):
                 return None
-    lam_hat = []
-    for l in range(ensemble.assignment.h):
-        a = h1_norm_sq(grid, ensemble.pulses[l])
-        b = lp_integral(grid, ensemble.pulses[l], 4)
-        if a <= 0 or b <= 0:
-            return None
-        lam_hat.append(np.sqrt(a / b))
-    lam_hat = np.asarray(lam_hat)
-
-    def face_sign_ok(t, T):
-        for l in range(len(lam_hat)):
-            a = h1_norm_sq(grid, ensemble.pulses[l])
-            b = lp_integral(grid, ensemble.pulses[l], 4)
-            for s in np.linspace(t, T, 5):
-                # low face must be uphill, high face downhill
-                if t**2 * a - t**4 * b <= 0:
-                    return False
-                if T**2 * a - T**4 * b >= 0:
-                    return False
-        return True
-
+    a = np.array([h1_norm_sq(grid, p) for p in ensemble.pulses])
+    b = np.array([lp_integral(grid, p, 4) for p in ensemble.pulses])
+    if np.any(a <= 0) or np.any(b <= 0):
+        return None
+    lam_hat = np.sqrt(a / b)
     for q in range(1, 21):
         t, T = 2.0**-q, 2.0**q
-        if t < lam_hat.min() and T > lam_hat.max() and face_sign_ok(t, T):
-            return (float(t), float(T))
+        if t < lam_hat.min() and T > lam_hat.max():
+            # low face must be uphill, high face downhill
+            if np.all(t**2 * a - t**4 * b > 0) and np.all(T**2 * a - T**4 * b < 0):
+                return (float(t), float(T))
     return None

@@ -13,6 +13,12 @@ Two independent routes to the same object:
 Both report the partition energy c = sum of per-bump energies and the
 interface radii; agreement between them is the main cross-check of the
 discretization.
+
+One annulus solver, ``_annulus_cont``, serves every cell: the seed, the
+line searches and the final split (radii on grid nodes make it the grid
+problem on the cell's interior nodes).  One damped Newton, ``_newton``,
+polishes every boundary value problem: the global field, each bump and
+each cell, always on a window of nodes with zero values outside.
 """
 from __future__ import annotations
 
@@ -191,10 +197,10 @@ def _bisect_amplitude(grid: RadialGrid, h: int) -> float:
         a *= 1.25
     if hi is None or lo is None:
         raise BracketingFailure(f"no amplitude bracket for h={h}")
-    for _ in range(90):
+    # the shots carry rtol=1e-11, so finer count decisions are noise;
+    # the Newton polish only needs the basin
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
         c = count_sign_changes(_shoot_values(grid, mid, rtol=1e-11))
         if c >= h:
             hi = mid
@@ -228,49 +234,30 @@ def _clean_tail(r, wv, h):
     return out, [z for _, z in zs]
 
 
-def _newton_bvp(grid: RadialGrid, u0, free=None, tol=1e-12, maxit=60):
-    """Damped Newton for (-Lap+1)u - u^3 = 0, identity rows off the free set."""
-    n = grid.n_points
-    lo, di, up = grid.op_lower, grid.op_diag, grid.op_upper
-    u = u0.copy()
-    if free is None:
-        free = np.ones(n, bool)
-        free[-1] = False
-    u[~free] = 0.0
+def _newton(lo, di, up, u, tol, maxit):
+    """Damped Newton for (lo, di, up) u - u^3 = 0 on a window of nodes.
 
-    def res(u):
-        F = apply_tridiag(lo, di, up, u) - u**3
-        F[~free] = 0.0
-        return F
-
-    F = res(u)
+    The bands are the window's rows of a -Lap+1 stencil whose field is
+    zero outside the window.  Each step halves until the max-norm residual
+    drops by the Armijo factor.  Returns (u, residual, steps taken).
+    """
+    F = apply_tridiag(lo, di, up, u) - u**3
     nf = np.max(np.abs(F))
     for it in range(maxit):
         if nf < tol:
             return u, float(nf), it
-        dlo, ddi, dup = lo.copy(), di - 3 * u**2, up.copy()
-        fixed = ~free
-        ddi[fixed] = 1.0
-        for i in np.where(fixed)[0]:
-            if i < n - 1:
-                dup[i] = 0.0
-            if i > 0:
-                dlo[i - 1] = 0.0
-        d = solve_tridiag(dlo, ddi, dup, -F)
+        d = solve_tridiag(lo, di - 3.0 * u**2, up, F)
         t = 1.0
-        moved = False
         for _ in range(40):
-            un = u + t * d
-            un[~free] = 0.0
-            Fn = res(un)
+            un = u - t * d
+            Fn = apply_tridiag(lo, di, up, un) - un**3
             nn = np.max(np.abs(Fn))
-            if nn < (1 - 0.25 * t) * nf or nn < tol:
-                u, F, nf = un, Fn, nn
-                moved = True
+            if nn < (1.0 - 0.25 * t) * nf or nn < tol:
                 break
             t *= 0.5
-        if not moved:
-            break
+        else:
+            return u, float(nf), it
+        u, F, nf = un, Fn, nn
     return u, float(nf), maxit
 
 
@@ -299,7 +286,17 @@ def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> N
     a = _bisect_amplitude(grid, h)
     wv = _shoot_values(grid, a, rtol=1e-12)
     u0, _ = _clean_tail(r, wv, h)
-    W, resid, _ = _newton_bvp(grid, u0)
+
+    def polish(j0, j1, u):
+        # Newton on nodes j0..j1-1, zero at every other node
+        out = np.zeros(n)
+        out[j0:j1], resid, _ = _newton(
+            grid.op_lower[j0 : j1 - 1], grid.op_diag[j0:j1],
+            grid.op_upper[j0 : j1 - 1], u[j0:j1], 1e-12, 60,
+        )
+        return out, resid
+
+    W, resid = polish(0, n - 1, u0)
     if resid > 1e-8:
         raise NewtonDivergence(f"global polish stalled at residual {resid:.2e}")
     flips = [j for j in range(n - 2) if W[j] * W[j + 1] < 0]
@@ -312,14 +309,9 @@ def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> N
     bounds = [0] + cuts + [n - 1]
     bumps = []
     for l in range(h):
-        free = np.zeros(n, bool)
-        jlo, jhi = bounds[l], bounds[l + 1]
-        if l == 0:
-            free[0:jhi] = True
-        else:
-            free[jlo + 1 : jhi] = True
-        ub = np.where(free, np.abs(W), 0.0)
-        bl, res_b, _ = _newton_bvp(grid, ub, free=free)
+        # bump 0 keeps its axis node; the others sit strictly inside
+        j0 = 0 if l == 0 else bounds[l] + 1
+        bl, res_b = polish(j0, bounds[l + 1], np.abs(W))
         if res_b > 1e-8:
             raise NewtonDivergence(f"bump {l + 1} resolve stalled at {res_b:.2e}")
         bumps.append(np.maximum(bl, 0.0))
@@ -353,148 +345,6 @@ def bump_constants(profile: NodalProfile):
 # annulus ground states
 
 
-def _annulus_nodes(grid: RadialGrid, jlo, jhi, u_init=None, include_origin=False,
-                   pgd_iters=200, dec_tol=1e-12):
-    """Ground state over the nodes strictly inside (jlo, jhi).
-
-    Node-pinned variant used by the seeding pass and the final bump
-    extraction; all linear algebra runs on the subwindow.  Returns
-    (field on the full grid, energy), or (None, inf) when the window is
-    too small to host a bump.
-    """
-    n = grid.n_points
-    r, dr = grid.nodes, grid.dr
-    wlo = 0 if include_origin else jlo
-    m = jhi - wlo + 1
-    nfree = (jhi - wlo) if include_origin else (jhi - jlo - 1)
-    if nfree < 8:
-        return None, np.inf
-    low = grid.op_lower[wlo:jhi].copy()
-    diw = grid.op_diag[wlo : jhi + 1].copy()
-    upw = grid.op_upper[wlo:jhi].copy()
-    if not include_origin:
-        diw[0] = 1.0
-        upw[0] = 0.0
-    diw[-1] = 1.0
-    low[-1] = 0.0
-    wq = grid.quad_weights[wlo : jhi + 1]
-    gq = grid.edge_weights[wlo:jhi]
-    sN = grid.sphere_measure
-    rw_ = r[wlo : jhi + 1]
-    free = np.ones(m, bool)
-    free[-1] = False
-    if not include_origin:
-        free[0] = False
-
-    def h1w(u):
-        du = (u[1:] - u[:-1]) / dr
-        return sN * dr * np.dot(gq, du * du) + np.dot(wq, u * u)
-
-    def proj(u):
-        a = h1w(u)
-        b = np.dot(wq, u**4)
-        if b <= 0:
-            return None
-        return np.sqrt(a / b) * u
-
-    def jval(u):
-        return 0.5 * h1w(u) - 0.25 * np.dot(wq, u**4)
-
-    if u_init is None:
-        rl = r[jlo] if not include_origin else 0.0
-        rh = r[jhi]
-        if include_origin:
-            # single-signed cap peaking on the axis
-            rwd = min(rh, 6.0)
-            u = 2.0 * np.cos(0.5 * np.pi * np.clip(rw_ / rwd, 0, 1))
-        else:
-            # r^{N-1} growth favors bumps hugging the inner edge
-            Lb = min(rh - rl, 5.0)
-            u = 2.0 * np.sin(np.pi * np.clip((rw_ - rl) / Lb, 0, 1))
-    else:
-        u = u_init[wlo : jhi + 1].copy()
-    u[~free] = 0.0
-    u = proj(u)
-    if u is None:
-        return None, np.inf
-    Jp = jval(u)
-
-    def pgd(u, Jp, iters):
-        for _ in range(iters):
-            F = apply_tridiag(low, diw, upw, u) - u**3
-            F[~free] = 0.0
-            d = solve_tridiag(low, diw, upw, F)
-            d[~free] = 0.0
-            t = 1.0
-            ok = False
-            dec = 0.0
-            for _ in range(25):
-                un = np.maximum(u - t * d, 0.0)
-                un[~free] = 0.0
-                un = proj(un)
-                if un is not None:
-                    Jn = jval(un)
-                    if Jn < Jp - 1e-15:
-                        u, ok = un, True
-                        dec = Jp - Jn
-                        Jp = Jn
-                        break
-                t *= 0.5
-            if not ok or dec < dec_tol:
-                break
-        return u, Jp
-
-    def snap(u2):
-        resid = np.inf
-        for _ in range(40):
-            F = apply_tridiag(low, diw, upw, u2) - u2**3
-            F[~free] = 0.0
-            resid = np.abs(F).max()
-            if resid < 1e-12:
-                break
-            dlo = low.copy()
-            ddi = diw - 3.0 * u2**2
-            dup = upw.copy()
-            ddi[~free] = 1.0
-            for jb in np.where(~free)[0]:
-                if jb < m - 1:
-                    dup[jb] = 0.0
-                if jb > 0:
-                    dlo[jb - 1] = 0.0
-            dstep = solve_tridiag(dlo, ddi, dup, F)
-            dstep[~free] = 0.0
-            t = 1.0
-            improved = False
-            for _ in range(30):
-                un = u2 - t * dstep
-                Fn = apply_tridiag(low, diw, upw, un) - un**3
-                Fn[~free] = 0.0
-                if np.abs(Fn).max() < (1.0 - 0.25 * t) * resid:
-                    u2, improved = un, True
-                    break
-                t *= 0.5
-            if not improved:
-                break
-        return u2, resid
-
-    out = np.zeros(n)
-    # descent in chunks with early polish attempts; a polish is accepted
-    # only when it lands in the basin the descent is tracking
-    chunk = min(40, pgd_iters)
-    spent = 0
-    while spent < 3 * pgd_iters:
-        u, Jp = pgd(u, Jp, chunk)
-        spent += chunk
-        u2, resid = snap(u)
-        if resid < 1e-10 and u2.min() > -1e-9:
-            J2 = 0.25 * np.dot(wq, np.maximum(u2, 0.0) ** 4)
-            if abs(J2 - Jp) < 0.05 * abs(Jp) + 1e-6:
-                out[wlo : jhi + 1] = np.maximum(u2, 0.0)
-                return out, float(J2)
-    out[wlo : jhi + 1] = u
-    return out, float(0.25 * np.dot(wq, u**4))
-
-
 def annulus_ground_state(grid: RadialGrid, r_lo: float, r_hi: float,
                          u_init=None, pgd_iters=200, dec_tol=1e-12):
     """Nonnegative energy minimizer on the annulus r_lo < r < r_hi.
@@ -517,12 +367,15 @@ def annulus_ground_state(grid: RadialGrid, r_lo: float, r_hi: float,
 
 
 def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
-                  pgd_iters=200, dec_tol=1e-13):
+                  pgd_iters=200, dec_tol=1e-12):
     """Annulus ground state with continuous boundary radii a < b.
 
     Unknowns are grid nodes strictly inside (a, b); the boundary sits
     between nodes, entering through partial-interval flux and quadrature
-    terms so the energy varies smoothly with a and b.
+    terms so the energy varies smoothly with a and b.  At a = r[jlo],
+    b = r[jhi] the cell is the grid problem on the nodes jlo < j < jhi.
+    Returns (field on the full grid, energy), or (None, inf) when fewer
+    than 8 nodes lie inside.
     """
     n = grid.n_points
     r, dr = grid.nodes, grid.dr
@@ -546,57 +399,42 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
         if dim == 1:
             return 1.0
         if dim == 2:
-            return 0.0 if ra + rb == 0 else 2.0 * ra * rb / (ra + rb)
+            return 2.0 * ra * rb / (ra + rb)
         return ra * rb
 
+    # edge q joins unknowns q-1 and q; edges 0 and m reach the boundary
     elen = np.full(m + 1, dr)
     ge = np.empty(m + 1)
-    for q in range(1, m):
-        ge[q] = gmean(rw_[q - 1], rw_[q])
+    ge[1:m] = grid.edge_weights[jfirst:jlast]
     if origin:
         ge[0] = 0.0
-        elen[0] = dr
     else:
-        sL = rw_[0] - a
-        elen[0] = sL
+        elen[0] = rw_[0] - a
         ge[0] = gmean(a, rw_[0])
-    sR = b - rw_[-1]
-    elen[m] = sR
+    elen[m] = b - rw_[-1]
     ge[m] = gmean(rw_[-1], b)
     # node masses: trapezoid over the (possibly partial) adjacent intervals
-    wq = np.empty(m)
-    for q in range(m):
-        left = elen[q] if (q > 0 or not origin) else 0.0
-        right = elen[q + 1]
-        wq[q] = 0.5 * sN * rw_[q] ** (dim - 1) * (left + right)
-    if origin and dim == 1:
-        wq[0] = 0.5 * sN * dr  # half-interval at the axis
-    # self-adjoint operator rows derived from the quadratic form
-    diw = np.empty(m)
-    low = np.zeros(m - 1)
-    upw = np.zeros(m - 1)
-    for q in range(m):
-        gl = ge[q] / elen[q]
-        gr = ge[q + 1] / elen[q + 1]
-        if wq[q] > 0:
-            diw[q] = sN * (gl + gr) / wq[q] + 1.0
-            if q > 0:
-                low[q - 1] = -sN * gl / wq[q]
-            if q < m - 1:
-                upw[q] = -sN * gr / wq[q]
-        else:
-            diw[q] = 1.0
+    left = elen[:m].copy()
     if origin:
-        # axis row by symmetry; energy-invisible for dim>1 (zero axis mass)
+        left[0] = 0.0
+    wq = 0.5 * sN * rw_ ** (dim - 1) * (left + elen[1:])
+    # self-adjoint operator rows derived from the quadratic form; the axis
+    # row comes from symmetry instead (zero axis mass for dim > 1)
+    g = ge / elen
+    k = 1 if origin else 0
+    diw = np.empty(m)
+    upw = np.empty(m - 1)
+    diw[k:] = sN * (g[k:m] + g[k + 1 :]) / wq[k:] + 1.0
+    low = -sN * g[1:m] / wq[1:]
+    upw[k:] = -sN * g[k + 1 : m] / wq[k : m - 1]
+    if origin:
         diw[0] = 2.0 * dim / dr**2 + 1.0
         upw[0] = -2.0 * dim / dr**2
-        if dim == 1:
-            diw[0] = 2.0 / dr**2 + 1.0
 
     def h1w(u):
         tot = np.dot(wq, u * u)
         du = u[1:] - u[:-1]
-        tot += sN * np.dot(ge[1:m] / elen[1:m], du * du)
+        tot += sN * np.dot(g[1:m], du * du)
         if not origin:
             tot += sN * ge[0] / elen[0] * u[0] * u[0]
         tot += sN * ge[m] / elen[m] * u[-1] * u[-1]
@@ -614,9 +452,11 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
 
     if u_init is None:
         if origin:
+            # single-signed cap peaking on the axis
             rwd = min(b, 6.0)
             u = 2.0 * np.cos(0.5 * np.pi * np.clip(rw_ / rwd, 0, 1))
         else:
+            # r^{N-1} growth favors bumps hugging the inner edge
             Lb = min(b - a, 5.0)
             u = 2.0 * np.sin(np.pi * np.clip((rw_ - a) / Lb, 0, 1))
     else:
@@ -648,34 +488,15 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
                 break
         return u, Jp
 
-    def snap(u2):
-        resid = np.inf
-        for _ in range(40):
-            F = apply_tridiag(low, diw, upw, u2) - u2**3
-            resid = np.abs(F).max()
-            if resid < 1e-12:
-                break
-            dstep = solve_tridiag(low, diw - 3.0 * u2**2, upw, F)
-            t = 1.0
-            improved = False
-            for _ in range(30):
-                un = u2 - t * dstep
-                Fn = apply_tridiag(low, diw, upw, un) - un**3
-                if np.abs(Fn).max() < (1.0 - 0.25 * t) * resid:
-                    u2, improved = un, True
-                    break
-                t *= 0.5
-            if not improved:
-                break
-        return u2, resid
-
     out = np.zeros(n)
+    # descent in chunks with early polish attempts; a polish is accepted
+    # only when it lands in the basin the descent is tracking
     chunk = min(40, pgd_iters)
     spent = 0
     while spent < 3 * pgd_iters:
         u, Jp = pgd(u, Jp, chunk)
         spent += chunk
-        u2, resid = snap(u)
+        u2, resid, _ = _newton(low, diw, upw, u, 1e-12, 40)
         if resid < 1e-10 and u2.min() > -1e-9:
             J2 = 0.25 * np.dot(wq, np.maximum(u2, 0.0) ** 4)
             if abs(J2 - Jp) < 0.05 * abs(Jp) + 1e-6:
@@ -691,27 +512,21 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
 
 def _partition_seed(grid: RadialGrid, h: int):
     """Integer interface seed: DP over a sparse radius set, then one
-    multiscale argmin sweep.  Cell solves are cold so the cache is
-    deterministic and basin-stable."""
-    n = grid.n_points
-    last = n - 1
+    multiscale argmin sweep.  Cell solves are cold so the cached energies
+    are deterministic and basin-stable."""
+    r = grid.nodes
+    last = grid.n_points - 1
     cache = {}
 
-    def cell(jlo, jhi, inc):
+    def cellE(jlo, jhi, inc):
         key = (jlo, jhi, inc)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        u, J = _annulus_nodes(grid, jlo, jhi, include_origin=inc,
-                              pgd_iters=120, dec_tol=1e-11)
-        cache[key] = (u, J)
+        if key not in cache:
+            cache[key] = _annulus_cont(grid, r[jlo], r[jhi], origin=inc,
+                                       pgd_iters=120, dec_tol=1e-11)[1]
         return cache[key]
 
-    def cellE(jlo, jhi, inc):
-        return cell(jlo, jhi, inc)[1]
-
     if h == 1:
-        return [0, last], cache
+        return [0, last]
     # the objective is a chain sum over cells, so a dynamic program over a
     # sparse candidate set finds the global basin
     cand0 = set()
@@ -755,7 +570,6 @@ def _partition_seed(grid: RadialGrid, h: int):
     def EofJ(i, jc):
         return cellE(bounds[i - 1], jc, i == 1) + cellE(jc, bounds[i + 1], False)
 
-    moved = True
     for i in range(1, h):
         jlo, jhi = bounds[i - 1], bounds[i + 1]
         if jhi - jlo < 18:
@@ -773,7 +587,7 @@ def _partition_seed(grid: RadialGrid, h: int):
         cand = sorted(c for c in set(cand) if jlo + 8 <= c <= jhi - 8)
         Es = [EofJ(i, c) for c in cand]
         bounds[i] = cand[int(np.argmin(Es))]
-    return bounds, cache
+    return bounds
 
 
 def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> NodalProfile:
@@ -787,7 +601,7 @@ def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> No
         raise ConfigError(f"h must be at least 1, got {h}")
     r, dr = grid.nodes, grid.dr
     n = grid.n_points
-    bounds, _cache = _partition_seed(grid, h)
+    bounds = _partition_seed(grid, h)
     if h == 1:
         rho = [0.0, grid.r_max]
     else:
@@ -796,8 +610,7 @@ def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> No
 
         def EC(a, b, origin, slot):
             u, J = _annulus_cont(grid, a, b, origin=origin,
-                                 u_init=warm.get(slot),
-                                 pgd_iters=160, dec_tol=1e-12)
+                                 u_init=warm.get(slot), pgd_iters=160)
             if u is not None:
                 warm[slot] = u
             return J
@@ -879,15 +692,16 @@ def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> No
                         hi_ = rho[i + 1] - 9 * dr
                         rho[i] = min(max(tgt, lo_), hi_)
 
-    # final bump fields are node-pinned at the nodes nearest the optimal
-    # radii, so the stored bumps satisfy the constraint under the global
-    # quadrature exactly (the continuous cells use their own cut-cell one)
+    # final bump fields are solved on cells whose radii are the grid nodes
+    # nearest the optimal radii: such a cell is the grid problem on its
+    # interior nodes, so the stored bumps satisfy the constraint under the
+    # global quadrature (off-node radii add cut-cell terms the grid lacks)
     jcuts = [int(round(x / dr)) for x in rho[1:-1]]
     jbounds = [0] + jcuts + [n - 1]
     bumps, energies = [], []
     for l in range(h):
-        ub, J = _annulus_nodes(grid, jbounds[l], jbounds[l + 1],
-                               include_origin=(l == 0))
+        ub, _ = _annulus_cont(grid, r[jbounds[l]], r[jbounds[l + 1]],
+                              origin=(l == 0))
         if ub is None:
             raise EmptyAnnulus(f"collapsed cell {l + 1} in the final split")
         bumps.append(ub)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import artifact as af
+from artifact.grid import apply_schrodinger, apply_tridiag
 
 
 def test_shoot_soliton_amplitude_decays(grid_n1):
@@ -127,6 +128,83 @@ def test_nehari_projection_rejects_zero(grid_n1):
 def test_annulus_matches_ground_state(grid_n1, soliton_profile):
     field, energy = af.annulus_ground_state(grid_n1, 0.0, grid_n1.r_max)
     assert energy == pytest.approx(soliton_profile.c_value, abs=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("jlo, jhi", [(0, 300), (200, 600)])
+def test_annulus_at_node_radii_solves_grid_problem(dim, jlo, jhi):
+    # radii on grid nodes make the cell the grid problem on the nodes
+    # strictly inside (plus the axis node for the center ball)
+    g = af.build_grid(dim, 1025, 20.0)
+    r = g.nodes
+    u, energy = af.annulus_ground_state(g, r[jlo], r[jhi])
+    inner = slice(0 if jlo == 0 else jlo + 1, jhi)
+    assert np.all(u >= 0)
+    assert np.all(u[: inner.start] == 0) and np.all(u[jhi:] == 0)
+    resid = apply_schrodinger(g, u) - u**3
+    assert np.max(np.abs(resid[inner])) <= 1e-10
+    norm = af.h1_norm_sq(g, u)
+    assert abs(norm - af.lp_integral(g, u, 4)) <= 1e-8 * norm
+    assert energy == pytest.approx(af.free_energy(g, u), rel=1e-10)
+
+
+def _loop_cell_bands(grid, a, b, origin):
+    # per-node reference for the annulus cell: edge conductances and node
+    # masses from the quadratic form, rows from its self-adjoint operator
+    r, dr, dim, sN = grid.nodes, grid.dr, grid.dimension, grid.sphere_measure
+    jfirst = 0 if origin else int(np.floor(a / dr)) + 1
+    if not origin and r[jfirst] <= a + 1e-14 * dr:
+        jfirst += 1
+    jlast = int(np.ceil(b / dr)) - 1
+    if r[jlast] >= b - 1e-14 * dr:
+        jlast -= 1
+    x = r[jfirst : jlast + 1]
+    m = len(x)
+
+    def gmean(ra, rb):
+        return {1: 1.0, 2: 2.0 * ra * rb / (ra + rb) if ra + rb else 0.0,
+                3: ra * rb}[dim]
+
+    ends = [0.0 if origin else a] + list(x) + [b]
+    elen = [dr if (q == 0 and origin) else ends[q + 1] - ends[q]
+            for q in range(m + 1)]
+    ge = [0.0 if (q == 0 and origin) else gmean(ends[q], ends[q + 1])
+          for q in range(m + 1)]
+    lo, di, up = np.zeros(m - 1), np.zeros(m), np.zeros(m - 1)
+    for q in range(m):
+        left = 0.0 if (q == 0 and origin) else elen[q]
+        wq = 0.5 * sN * x[q] ** (dim - 1) * (left + elen[q + 1])
+        gl, gr = ge[q] / elen[q], ge[q + 1] / elen[q + 1]
+        if q == 0 and origin:
+            di[0] = 2.0 * dim / dr**2 + 1.0
+            up[0] = -2.0 * dim / dr**2
+            continue
+        di[q] = sN * (gl + gr) / wq + 1.0
+        if q > 0:
+            lo[q - 1] = -sN * gl / wq
+        if q < m - 1:
+            up[q] = -sN * gr / wq
+    return lo, di, up
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("a, b, origin", [(0.0, 7.3, True), (0.0, 5.9, True),
+                                          (2.61, 9.47, False),
+                                          (4.0, 12.0, False)])
+def test_annulus_bands_match_loop_reference(monkeypatch, dim, a, b, origin):
+    # the vectorized cell bands keep the per-node float order exactly;
+    # the interface search is sensitive to their last bits
+    g = af.build_grid(dim, 1025, 20.0)
+    seen = []
+
+    def spy(lo, di, up, u):
+        seen.append((lo.copy(), di.copy(), up.copy()))
+        return apply_tridiag(lo, di, up, u)
+
+    monkeypatch.setattr(af.scalar, "apply_tridiag", spy)
+    af.annulus_ground_state(g, a, b)
+    for got, want in zip(seen[0], _loop_cell_bands(g, a, b, origin)):
+        assert np.array_equal(got, want)
 
 
 def test_annulus_rejects_bad_interval(grid_h2):
