@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import ConfigError
 
@@ -140,13 +141,56 @@ def apply_tridiag(lo, di, up, u):
     return out
 
 
+def _check_finite(*arrays) -> None:
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _check_info(info: int) -> None:
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in LAPACK argument {-info}")
+
+
 def solve_tridiag(lo, di, up, b):
-    n = len(di)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = up
-    ab[1, :] = di
-    ab[2, :-1] = lo
-    return solve_banded((1, 1), ab, b)
+    """Solve the tridiagonal system with bands (lo, di, up) for b.
+
+    Calls LAPACK ``gtsv`` directly.  ``scipy.linalg.solve_banded((1, 1),
+    ...)`` ends in the same call, so the result is identical bit for bit;
+    skipped are its (3, n) band copy and argument handling, which cost
+    more than the solve itself at the sizes of the partition route's
+    cells.  Like ``solve_banded`` it raises ValueError on a non-finite
+    input and LinAlgError on a singular matrix, and it leaves the
+    callers' arrays unmodified (f2py copies them).
+    """
+    _check_finite(lo, di, up, b)
+    *_, x, info = dgtsv(lo, di, up, b)
+    _check_info(info)
+    return x
+
+
+def factor_tridiag(lo, di, up):
+    """LU-factor the tridiagonal matrix (lo, di, up) once; return solve(b).
+
+    For a matrix that serves many right-hand sides: ``gttrf`` runs once
+    and each solve is one ``gttrs`` on the stored factors.  They perform
+    ``gtsv``'s eliminations in the same order, so ``solve(b)`` equals
+    ``solve_tridiag(lo, di, up, b)`` bit for bit.  The bands are checked
+    for finiteness once, each right-hand side on every call.
+    """
+    _check_finite(lo, di, up)
+    dl, d, du, du2, ipiv, info = dgttrf(lo, di, up)
+    _check_info(info)
+
+    def solve(b):
+        _check_finite(b)
+        x, info = dgttrs(dl, d, du, du2, ipiv, b)
+        _check_info(info)
+        return x
+
+    return solve
 
 
 def apply_schrodinger(grid: RadialGrid, u) -> np.ndarray:

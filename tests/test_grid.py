@@ -3,9 +3,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 
 import artifact as af
-from artifact.grid import apply_schrodinger, apply_tridiag, solve_tridiag
+from artifact.grid import (
+    apply_schrodinger,
+    apply_tridiag,
+    factor_tridiag,
+    solve_tridiag,
+)
 
 
 def test_node_spacing():
@@ -64,6 +70,77 @@ def test_solve_inverts_apply(dim, rng):
     b = apply_tridiag(g.op_lower, g.op_diag, g.op_upper, u)
     v = solve_tridiag(g.op_lower, g.op_diag, g.op_upper, b)
     assert np.max(np.abs(u - v)) < 1e-10
+
+
+def _banded_reference(lo, di, up, b):
+    ab = np.zeros((3, len(di)))
+    ab[0, 1:] = up
+    ab[1] = di
+    ab[2, :-1] = lo
+    return solve_banded((1, 1), ab, b)
+
+
+def _random_bands(rng, n, dominant):
+    # a weak diagonal makes gtsv/gttrf exchange rows on most steps
+    lo = rng.standard_normal(n - 1)
+    up = rng.standard_normal(n - 1)
+    di = rng.standard_normal(n) + (4.0 if dominant else 0.0)
+    return lo, di, up
+
+
+@pytest.mark.parametrize("dominant", [True, False])
+@pytest.mark.parametrize("n", [10, 257, 2049])
+def test_tridiag_helpers_match_solve_banded_bit_for_bit(rng, n, dominant):
+    lo, di, up = _random_bands(rng, n, dominant)
+    solve = factor_tridiag(lo, di, up)
+    for _ in range(4):
+        b = rng.standard_normal(n)
+        want = _banded_reference(lo, di, up, b)
+        assert np.array_equal(solve_tridiag(lo, di, up, b), want)
+        assert np.array_equal(solve(b), want)
+
+
+def test_tridiag_helpers_match_solve_banded_on_grid_bands():
+    g = af.build_grid(2, 1025, 20.0)
+    bands = (g.op_lower, g.op_diag, g.op_upper)
+    b = np.sin(g.nodes)
+    want = _banded_reference(*bands, b)
+    assert np.array_equal(solve_tridiag(*bands, b), want)
+    assert np.array_equal(factor_tridiag(*bands)(b), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["lo", "di", "up", "b"])
+def test_tridiag_helpers_reject_nonfinite(rng, bad, where):
+    arrays = dict(zip(("lo", "di", "up"), _random_bands(rng, 50, True)))
+    arrays["b"] = rng.standard_normal(50)
+    arrays[where][7] = bad
+    with pytest.raises(ValueError):
+        solve_tridiag(**arrays)
+    with pytest.raises(ValueError):
+        factor_tridiag(arrays["lo"], arrays["di"], arrays["up"])(arrays["b"])
+
+
+def test_tridiag_helpers_reject_singular():
+    # the Neumann Laplacian: constants span its kernel and elimination
+    # reaches an exact zero pivot
+    n = 20
+    lo = up = -np.ones(n - 1)
+    di = np.full(n, 2.0)
+    di[0] = di[-1] = 1.0
+    with pytest.raises(LinAlgError):
+        solve_tridiag(lo, di, up, np.ones(n))
+    with pytest.raises(LinAlgError):
+        factor_tridiag(lo, di, up)
+
+
+def test_tridiag_helpers_leave_inputs_unmodified(rng):
+    arrays = _random_bands(rng, 300, False) + (rng.standard_normal(300),)
+    before = [x.copy() for x in arrays]
+    solve_tridiag(*arrays)
+    factor_tridiag(*arrays[:3])(arrays[3])
+    for got, want in zip(arrays, before):
+        assert np.array_equal(got, want)
 
 
 def test_h1_inner_symmetric(grid_h2, rng):

@@ -1,12 +1,19 @@
 """Shooting classification, nodal profiles, and the two routes to the
 segregated energy."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import artifact as af
-from artifact.grid import apply_schrodinger, apply_tridiag
+from artifact.grid import (
+    apply_schrodinger,
+    apply_tridiag,
+    factor_tridiag,
+    solve_tridiag,
+)
 
 
 def test_shoot_soliton_amplitude_decays(grid_n1):
@@ -102,6 +109,18 @@ def test_routes_agree_on_plane(grid_h2, profile_h2):
     rel = abs(shot.c_value - profile_h2.c_value) / shot.c_value
     assert rel < 1e-8
     assert abs(shot.node_radii[0] - profile_h2.node_radii[0]) < 2 * grid_h2.dr
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_partition_route_on_the_line_matches_shooting(grid_n1, h):
+    # on the line no r^{N-1} weight favours a cell's inner edge: each
+    # cell's ground state sits at its centre, and the route must find it
+    shot = af.find_nodal_solution(grid_n1, h)
+    part = af.compute_c_infinity(grid_n1, h)
+    assert abs(shot.c_value - part.c_value) / shot.c_value < 1e-4
+    assert len(part.node_radii) == h - 1
+    for zs, zp in zip(shot.node_radii, part.node_radii):
+        assert abs(zs - zp) < 2 * grid_n1.dr
 
 
 def test_bump_constants(profile_h2, grid_h2):
@@ -205,6 +224,27 @@ def test_annulus_bands_match_loop_reference(monkeypatch, dim, a, b, origin):
     af.annulus_ground_state(g, a, b)
     for got, want in zip(seen[0], _loop_cell_bands(g, a, b, origin)):
         assert np.array_equal(got, want)
+
+
+def test_annulus_factors_its_preconditioner_once(monkeypatch):
+    # the descent reuses one factorization of the cell's -Lap+1; only the
+    # Newton polish, whose matrix changes every step, solves from scratch
+    g = af.build_grid(2, 1025, 20.0)
+    factors, callers = [], []
+
+    def factor_spy(lo, di, up):
+        factors.append(len(di))
+        return factor_tridiag(lo, di, up)
+
+    def solve_spy(lo, di, up, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve_tridiag(lo, di, up, b)
+
+    monkeypatch.setattr(af.scalar, "factor_tridiag", factor_spy)
+    monkeypatch.setattr(af.scalar, "solve_tridiag", solve_spy)
+    af.annulus_ground_state(g, 2.61, 9.47)
+    assert len(factors) == 1
+    assert callers and set(callers) == {"_newton"}
 
 
 def test_annulus_rejects_bad_interval(grid_h2):
