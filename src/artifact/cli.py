@@ -381,7 +381,7 @@ def cmd_report(args) -> int:
         _, pdata = _read_columns(os.path.join(run_dir, name))
         pulses = np.array([pdata[:, 1 + q] for q in range(assignment.h)])
         ensemble = PulseEnsemble(grid, assignment, pulses)
-        rep = maximize_phi(beta, ensemble, rng=rng)
+        rep = maximize_phi(beta, ensemble)
         diag = build_report(beta, config.epsilon, ensemble, profile, rep)
         entry = diag.to_dict()
         U = ensemble.components(rep.lambda_bar)

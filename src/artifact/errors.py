@@ -49,6 +49,16 @@ class NonConvergence(MaximizerFailure):
     """Scaling maximization did not reach its gradient tolerance."""
 
 
+class SaddleScaling(MaximizerFailure):
+    """Stationary scaling whose Hessian is not negative definite, so the
+    scaling energy has no maximum there; carries the eigenvalues."""
+
+    def __init__(self, eigenvalues):
+        self.eigenvalues = tuple(float(x) for x in eigenvalues)
+        vals = ", ".join(f"{x:.3g}" for x in self.eigenvalues)
+        super().__init__(f"scaling saddle, Hessian eigenvalues {vals}")
+
+
 class DegeneratePulse(MaximizerFailure):
     """A pulse has numerically zero norm; scaling is ill-posed."""
 

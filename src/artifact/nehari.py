@@ -7,6 +7,10 @@ positive orthant is the gateway to the constrained minimization: its
 value is the quantity the outer solver descends, and lambda_bar = 1
 signals a constrained critical point.
 
+The scaling energy is a quartic polynomial in the scalings whose
+coefficients are pulse integrals; the maximizer iterates on that form,
+while `phi`, `j_beta` and the reported maximum are evaluated on the grid.
+
 Scaling vectors are indexed by bump order l = 1..h; the double index
 (i, m) of the assignment maps to l through sigma_tilde.
 """
@@ -18,7 +22,13 @@ from typing import Optional
 import numpy as np
 
 from .assignment import Assignment
-from .errors import ConfigError, DegeneratePulse, NonConvergence, UnboundedEnergy
+from .errors import (
+    ConfigError,
+    DegeneratePulse,
+    NonConvergence,
+    SaddleScaling,
+    UnboundedEnergy,
+)
 from .grid import RadialGrid, h1_inner, h1_norm_sq, lp_integral
 
 
@@ -110,193 +120,121 @@ def phi(beta: float, ensemble: PulseEnsemble, lam) -> float:
 
 
 def grad_phi(beta: float, ensemble: PulseEnsemble, lam) -> np.ndarray:
-    G, _ = _grad_hess(beta, ensemble, np.asarray(lam, float), need_hess=False)
-    return G
+    return _poly(*_tensors(beta, ensemble), np.asarray(lam, float))[1]
 
 
 def hess_phi(beta: float, ensemble: PulseEnsemble, lam) -> np.ndarray:
-    _, H = _grad_hess(beta, ensemble, np.asarray(lam, float), need_hess=True)
-    return H
+    return _poly(*_tensors(beta, ensemble), np.asarray(lam, float))[2]
 
 
-def _grad_hess(beta, ensemble, lam, need_hess=True):
+def _tensors(beta, ensemble):
+    """Q and D of phi(lam) = 1/2 lam.Q.lam + 1/4 D[lam, lam, lam, lam].
+
+    Q is the H1 Gram matrix of the pulses, masked to pairs in one
+    component.  D is the Gram matrix of the pulse products P_l P_s: a
+    quartic term pairs two same-component products, with weight -1 when
+    both lie in one component and +beta when they lie in two; products
+    that mix components never occur.  D is symmetrized over the three
+    pairings, so its contractions give the gradient and Hessian.
+    """
     grid = ensemble.grid
     P = ensemble.pulses
-    comp = ensemble.assignment.sigma  # 1-based component per bump
-    k = ensemble.assignment.k
     h = ensemble.assignment.h
-    w = grid.quad_weights
-    U = ensemble.components(lam)
-    T = [sum(U[j] ** 2 for j in range(k) if j != i) for i in range(k)]
-    G = np.empty(h)
+    comp = np.asarray(ensemble.assignment.sigma)
+    same = comp[:, None] == comp[None, :]
+    Q = np.zeros((h, h))
     for l in range(h):
-        i = comp[l] - 1
-        G[l] = (
-            h1_inner(grid, U[i], P[l])
-            - np.dot(w, U[i] ** 3 * P[l])
-            + beta * np.dot(w, U[i] * P[l] * T[i])
-        )
-    if not need_hess:
-        return G, None
-    H = np.empty((h, h))
-    for l in range(h):
-        il = comp[l] - 1
         for s in range(l, h):
-            js = comp[s] - 1
-            if il == js:
-                H[l, s] = (
-                    h1_inner(grid, P[l], P[s])
-                    - 3.0 * np.dot(w, U[il] ** 2 * P[l] * P[s])
-                    + beta * np.dot(w, P[l] * P[s] * T[il])
-                )
-            else:
-                H[l, s] = 2.0 * beta * np.dot(w, U[il] * U[js] * P[l] * P[s])
-            H[s, l] = H[l, s]
-    return G, H
+            if same[l, s]:
+                Q[l, s] = Q[s, l] = h1_inner(grid, P[l], P[s])
+    W = (P[:, None, :] * P[None, :, :]).reshape(h * h, -1)
+    gram = (W * grid.quad_weights) @ W.T
+    pair = np.where(same, comp[:, None], 0).ravel()  # 0: mixed product
+    weight = np.where(pair[:, None] == pair[None, :], -1.0, beta)
+    weight[(pair[:, None] == 0) | (pair[None, :] == 0)] = 0.0
+    D = (weight * gram).reshape(h, h, h, h)
+    D = (D + D.transpose(0, 2, 1, 3) + D.transpose(0, 3, 2, 1)) / 3.0
+    return Q, D
 
 
-def _quartic_along(beta, ensemble, direction) -> float:
-    """Leading quartic coefficient of phi along the ray t*direction;
-    nonnegative values mean the energy grows without bound on the ray."""
-    D = ensemble.components(direction)
-    k = ensemble.assignment.k
-    w = ensemble.grid.quad_weights
-    val = 0.0
-    for i in range(k):
-        val -= np.dot(w, D[i] ** 4)
-        for j in range(k):
-            if j != i:
-                val += beta * np.dot(w, D[i] ** 2 * D[j] ** 2)
-    return float(val)
+def _poly(Q, D, lam):
+    """Value, gradient and Hessian of the scaling energy polynomial."""
+    D2 = D @ lam @ lam
+    D3 = D2 @ lam
+    return (0.5 * lam @ Q @ lam + 0.25 * lam @ D3, Q @ lam + D3, Q + 3.0 * D2)
 
 
 def maximize_phi(beta: float, ensemble: PulseEnsemble, x0=None, tol: float = 1e-10,
-                 rng=None, compute_miranda: bool = False) -> MaximizerReport:
+                 compute_miranda: bool = False) -> MaximizerReport:
     """Maximize the scaling energy over positive scalings.
 
-    Safeguarded Newton from the ones vector (or x0) with positivity
-    backtracking; a log-parametrized ascent reopens progress when the
-    Newton direction stalls.  Raises UnboundedEnergy when a sampled ray
-    has nonnegative quartic growth, DegeneratePulse on a vanishing pulse,
+    Modified Newton from the ones vector (or x0) on the polynomial form
+    of phi, built once per call, so an iterate costs O(h^4) and no grid
+    pass; backtracking keeps positivity.  Raises DegeneratePulse on a
+    vanishing pulse, UnboundedEnergy when one of 64 fixed rays (seed 1905)
+    has nonnegative quartic growth or the iterates diverge, SaddleScaling
+    at a stationary point whose Hessian is not negative definite, and
     NonConvergence when the gradient tolerance is not reached.
     """
     h = ensemble.assignment.h
-    grid = ensemble.grid
+    Q, D = _tensors(beta, ensemble)
     for l in range(h):
-        if np.sqrt(h1_norm_sq(grid, ensemble.pulses[l])) < 1e-10:
+        if np.sqrt(Q[l, l]) < 1e-10:
             raise DegeneratePulse(f"pulse {l + 1} has numerically zero norm")
-    if rng is None:
-        rng = np.random.default_rng(1905)
-    dirs = np.abs(rng.standard_normal((64, h)))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    for d in dirs:
-        if _quartic_along(beta, ensemble, d) >= 0:
-            raise UnboundedEnergy(
-                "scaling energy grows without bound along a sampled ray"
-            )
+    rays = np.abs(np.random.default_rng(1905).standard_normal((64, h)))
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    if np.any(np.einsum("lspq,xl,xs,xp,xq->x", D, rays, rays, rays, rays) >= 0):
+        raise UnboundedEnergy(
+            "scaling energy grows without bound along a sampled ray"
+        )
 
     lam = np.ones(h) if x0 is None else np.asarray(x0, dtype=float).copy()
     if np.any(lam <= 0):
         raise ConfigError("starting scaling must be positive")
-
-    def ascend_log(lam, rounds=200):
-        # gradient ascent in theta = log(lambda); keeps positivity for free
-        th = np.log(lam)
-        G, _ = _grad_hess(beta, ensemble, np.exp(th), need_hess=False)
-        val = phi(beta, ensemble, np.exp(th))
-        step = 1.0
-        for _ in range(rounds):
-            gth = G * np.exp(th)
-            gn = np.linalg.norm(gth)
-            if gn < 0.1 * tol:
-                break
-            ok = False
-            for _ in range(40):
-                thn = th + step * gth / max(gn, 1e-30)
-                valn = phi(beta, ensemble, np.exp(thn))
-                if valn > val + 1e-16:
-                    th, val = thn, valn
-                    step *= 1.3
-                    ok = True
-                    break
-                step *= 0.5
-            if not ok:
-                break
-            G, _ = _grad_hess(beta, ensemble, np.exp(th), need_hess=False)
-        return np.exp(th)
-
-    for attempt in range(4):
-        for _ in range(120):
-            G, H = _grad_hess(beta, ensemble, lam, need_hess=True)
-            gn = np.linalg.norm(G)
-            if gn < tol * 1e-2 or np.max(lam) > 1e8:
-                break
-            # modified Newton: cap eigenvalues below zero so the step is
-            # always an ascent direction, pure Newton inside the basin
-            ev, V = np.linalg.eigh(H)
-            if ev.max() < 0:
-                d = np.linalg.solve(H, -G)
-            else:
-                cap = -max(1e-8, 1e-2 * float(np.abs(ev).max()))
-                d = -(V * (1.0 / np.minimum(ev, cap))) @ (V.T @ G)
-            slope = float(np.dot(d, G))
-            if slope <= 0:
-                d = G / max(gn, 1e-30)
-                slope = gn
-            val = phi(beta, ensemble, lam)
-            t = 1.0
-            moved = False
-            for _ in range(50):
-                ln = lam + t * d
-                if np.all(ln > 1e-12):
-                    vn = phi(beta, ensemble, ln)
-                    if vn >= val + 1e-4 * t * slope:
-                        lam = ln
-                        moved = True
-                        break
-                    # once value gains sink under roundoff, polish by
-                    # gradient decrease, but never trade value away
-                    Gn, _ = _grad_hess(beta, ensemble, ln, need_hess=False)
-                    if (np.linalg.norm(Gn) < (1 - 0.25 * t) * gn
-                            and vn >= val - 1e-12 * max(1.0, abs(val))):
-                        lam = ln
-                        moved = True
-                        break
-                t *= 0.5
-            if not moved:
-                break
-        if np.max(lam) > 1e8:
-            raise UnboundedEnergy("scaling iterates diverged")
-        G, H = _grad_hess(beta, ensemble, lam, need_hess=True)
-        if np.linalg.norm(G) < tol:
-            ev, V = np.linalg.eigh(H)
-            if ev.max() < 0:
-                break
-            # stationary but not a maximum: both signs along the top
-            # eigenvector go uphill, pick one that keeps positivity
-            val = phi(beta, ensemble, lam)
-            nudged = False
-            v = V[:, int(np.argmax(ev))]
-            for s in (1e-2, -1e-2, 1e-1, -1e-1):
-                ln = np.maximum(lam + s * v, 1e-12)
-                if phi(beta, ensemble, ln) > val:
-                    lam = ln
-                    nudged = True
-                    break
-            if nudged:
-                continue
+    val, G, H = _poly(Q, D, lam)
+    for _ in range(120):
+        gn = np.linalg.norm(G)
+        ev, V = np.linalg.eigh(H)
+        # stop at a maximum, on divergence, or at a stationary saddle
+        if gn < tol * 1e-2 or np.max(lam) > 1e8 or (gn < tol and ev.max() >= 0):
             break
-        lam = ascend_log(lam)
-    G, H = _grad_hess(beta, ensemble, lam, need_hess=True)
+        # modified Newton: cap eigenvalues below zero so the step is
+        # always an ascent direction, pure Newton inside the basin
+        if ev.max() < 0:
+            d = np.linalg.solve(H, -G)
+        else:
+            cap = -max(1e-8, 1e-2 * float(np.abs(ev).max()))
+            d = -(V * (1.0 / np.minimum(ev, cap))) @ (V.T @ G)
+        slope = float(np.dot(d, G))
+        t = 1.0
+        for _ in range(50):
+            ln = lam + t * d
+            if np.all(ln > 1e-12):
+                vn, Gn, Hn = _poly(Q, D, ln)
+                # once value gains sink under roundoff, polish by
+                # gradient decrease, but never trade value away
+                if vn >= val + 1e-4 * t * slope or (
+                        np.linalg.norm(Gn) < (1 - 0.25 * t) * gn
+                        and vn >= val - 1e-12 * max(1.0, abs(val))):
+                    lam, val, G, H = ln, vn, Gn, Hn
+                    break
+            t *= 0.5
+        else:
+            break
+    if np.max(lam) > 1e8:
+        raise UnboundedEnergy("scaling iterates diverged")
     gn = float(np.linalg.norm(G))
     if gn >= tol:
         raise NonConvergence(f"gradient norm {gn:.2e} above tolerance {tol:.1e}")
+    ev = np.linalg.eigvalsh(H)
+    if ev.max() >= 0:
+        raise SaddleScaling(ev)
     box = miranda_box(beta, ensemble) if compute_miranda else None
     return MaximizerReport(
         lambda_bar=LambdaVector(lam),
         m_value=float(phi(beta, ensemble, lam)),
         gradient_norm=gn,
-        hessian_negdef=bool(np.linalg.eigvalsh(H).max() < 0),
+        hessian_negdef=True,  # otherwise SaddleScaling was raised
         min_lambda=float(np.min(lam)),
         radius_sq=float(np.dot(lam, lam)),
         miranda_box=box,

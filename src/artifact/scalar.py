@@ -444,14 +444,12 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
         return tot
 
     def proj(u):
+        # scaled onto the constraint set, where the energy is aa^2 / (4 bb)
         aa = h1w(u)
         bb = np.dot(wq, u**4)
         if bb <= 0:
-            return None
-        return np.sqrt(aa / bb) * u
-
-    def jval(u):
-        return 0.5 * h1w(u) - 0.25 * np.dot(wq, u**4)
+            return None, np.inf
+        return np.sqrt(aa / bb) * u, aa**2 / (4.0 * bb)
 
     if u_init is None:
         if origin:
@@ -468,10 +466,9 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
             u = 2.0 * np.sin(np.pi * np.clip((rw_ - a0) / Lb, 0, 1))
     else:
         u = u_init[jfirst : jlast + 1].copy()
-    u = proj(u)
+    u, Jp = proj(u)
     if u is None:
         return None, np.inf
-    Jp = jval(u)
 
     precond = factor_tridiag(low, diw, upw)
 
@@ -483,15 +480,12 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
             ok = False
             dec = 0.0
             for _ in range(25):
-                un = np.maximum(u - t * d, 0.0)
-                un = proj(un)
-                if un is not None:
-                    Jn = jval(un)
-                    if Jn < Jp - 1e-15:
-                        u, ok = un, True
-                        dec = Jp - Jn
-                        Jp = Jn
-                        break
+                un, Jn = proj(np.maximum(u - t * d, 0.0))
+                if Jn < Jp - 1e-15:
+                    u, ok = un, True
+                    dec = Jp - Jn
+                    Jp = Jn
+                    break
                 t *= 0.5
             if not ok or dec < dec_tol:
                 break

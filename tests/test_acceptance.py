@@ -4,7 +4,8 @@ Ten checks, one per line of `pytest -v`: closed-form oracles for the
 scalar problem and the scaling maximum, cross-method agreement on the
 reference energies, finite-difference derivative validation, and the
 structural guarantees of the five-stage coupling sweep on the
-three-component example (h=5, sigma=(1,2,1,3,2), N=2).
+three-component example (h=5, sigma=(1,2,1,3,2), N=2).  Regression
+checks on the same sweep follow them.
 """
 import os
 import time
@@ -306,3 +307,19 @@ def test_10_sweep_determinism(tmp_path):
         with open(os.path.join(str(tmp_path), label, "sweep.csv"), "rb") as f:
             payloads.append(f.read())
     assert payloads[0] == payloads[1]
+
+
+# ---------------------------------------------------------------------
+# regressions
+# ---------------------------------------------------------------------
+
+def test_weak_coupling_stage_fails_on_a_named_scaling_saddle(example_sweep):
+    # at beta=1 the walked-down state is stationary in the scalings, but
+    # the scaling Hessian there has one positive eigenvalue: no maximum
+    # exists, and the stage failure must say so rather than time out
+    failure = next(f for f in example_sweep["failures"]
+                   if f.startswith("stage beta=1 failed"))
+    assert "scaling saddle" in failure
+    eigs = [float(x) for x in failure.split("eigenvalues")[1].split(",")]
+    assert len(eigs) == example_sweep["assignment"].h
+    assert sum(x > 0 for x in eigs) == 1
