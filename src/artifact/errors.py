@@ -68,7 +68,9 @@ class LeftNeighborhood(UserWarning):
 
 
 class StageFailure(UserWarning):
-    """A schedule stage failed; later stages resume from the last good state."""
+    """A schedule stage failed and is absent from the records; the message
+    names the cause.  Each stage starts from its own walked state, so the
+    other stages are unaffected."""
 
 
 class NegativityPersistent(UserWarning):

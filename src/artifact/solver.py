@@ -1,12 +1,16 @@
 """Constrained descent, Newton refinement, and continuation in the
 coupling strength for the k-component cubic system.
 
-A continuation run walks the coupling schedule upward, warm-starting each
-stage from the previous converged state.  The first stage is produced by
-anchoring a Newton solve at a large coupling (where the segregated
-initial guess is nearly exact) and walking the coupling down adaptively
-to the schedule's start; plain descent from the initial guess at weak
-coupling falls into the wrong basin, while the walk follows the branch.
+A continuation run anchors a damped Newton solve at a large coupling,
+where the segregated initial guess is nearly exact, and walks the
+positive branch once in log-coupling: down through the schedule points
+at or below the anchor, then up through those above it.  Plain descent
+from the initial guess at weak coupling falls into the wrong basin, while
+the walk follows the branch.  Each walk step predicts along the branch
+tangent and corrects with full-step Newton, rejecting the step as soon
+as the simplified-Newton contraction shows it left the Newton basin
+(P. Deuflhard, Newton Methods for Nonlinear Problems, 2004).  Every stage
+then descends and refines its own walked state.
 """
 from __future__ import annotations
 
@@ -15,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .assignment import Assignment
 from .errors import (
@@ -27,7 +32,13 @@ from .errors import (
     SolveError,
     StageFailure,
 )
-from .grid import RadialGrid, apply_tridiag, h1_norm_sq, solve_tridiag
+from .grid import (
+    RadialGrid,
+    apply_tridiag,
+    factor_tridiag,
+    h1_norm_sq,
+    solve_tridiag,
+)
 from .nehari import MaximizerReport, PulseEnsemble, coupled_energy, maximize_phi
 from .scalar import NodalProfile
 
@@ -112,16 +123,32 @@ def pulse_distance(ensemble: PulseEnsemble, profile: NodalProfile) -> float:
     return float(np.sqrt(total))
 
 
+def _cross_sq(U: np.ndarray) -> np.ndarray:
+    """T_i = sum_{j != i} U_j^2 for each component, shape (k, n).
+
+    Summed term by term rather than as S - U_i^2 with S = sum_j U_j^2:
+    the shortcut cancels where U_i dominates.  On the reference sweep's
+    anchor state at beta = 1e7 it moves the residual by 1.3e-9, 13 times
+    the default Newton tolerance.
+    """
+    sq = U**2
+    k = len(U)
+    return np.array(
+        [sum((sq[j] for j in range(k) if j != i), np.zeros_like(sq[i]))
+         for i in range(k)]
+    )
+
+
 def residual_components(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
     """Discrete residual of each component equation; identity row at r_max."""
     k = U.shape[0]
+    T = _cross_sq(U)
     R = np.empty_like(U)
     for i in range(k):
-        T = sum(U[j] ** 2 for j in range(k) if j != i)
         R[i] = (
             apply_tridiag(grid.op_lower, grid.op_diag, grid.op_upper, U[i])
             - U[i] ** 3
-            + beta * U[i] * T
+            + beta * U[i] * T[i]
         )
         R[i, -1] = U[i, -1]
     return R
@@ -180,13 +207,62 @@ def split_components(grid: RadialGrid, assignment: Assignment, U: np.ndarray,
     return P
 
 
+def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
+    """LU-factor the Jacobian of `residual_components` at U once; return
+    solve(F), which maps a (k, n) right-hand side to J^{-1} F.
+
+    Unknowns are node-major (the k components of a node adjacent), so the
+    Jacobian has k sub- and k super-diagonals; its bands are filled from
+    node-major views of the fields.  LAPACK ``gbtrf`` factors it and each
+    solve is one ``gbtrs``; for k = 1 the matrix is tridiagonal and
+    ``factor_tridiag`` does the same.  These are the eliminations
+    ``solve_banded((k, k), ...)`` performs, so solutions equal its bit for
+    bit.
+    """
+    k, n = U.shape
+    diag = grid.op_diag - 3 * U**2 + beta * _cross_sq(U)
+    diag[:, -1] = 1.0  # identity row at r_max
+    lower = grid.op_lower.copy()
+    lower[-1] = 0.0
+    if k == 1:
+        tri = factor_tridiag(lower, diag[0], grid.op_upper)
+        return lambda F: tri(F[0])[None, :]
+    # LAPACK band storage with k rows for fill-in on top: entry (p, q)
+    # sits in row 2k + p - q, column q = k * node + component
+    ab = np.zeros((3 * k + 1, n, k))
+    ab[2 * k] = diag.T
+    ab[k, 1:] = grid.op_upper[:, None]
+    ab[3 * k, :-1] = lower[:, None]
+    C = 2 * beta * U[:, None, :] * U[None, :, :]  # dF_i/dU_j at each node
+    C[:, :, -1] = 0.0
+    for i in range(k):
+        for j in range(k):
+            if j != i:
+                ab[2 * k + i - j, :, j] = C[i, j]
+    ab = ab.reshape(3 * k + 1, n * k)
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv, info = dgbtrf(ab, k, k)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+
+    def solve(F):
+        x, _ = dgbtrs(lu, k, k, F.T.reshape(-1), piv)
+        return x.reshape(n, k).T
+
+    return solve
+
+
 def coupled_newton(grid: RadialGrid, beta: float, U: np.ndarray,
                    tol: float = 1e-10, maxit: int = 60,
                    history: Optional[list] = None):
     """Damped banded Newton on the k-field system; returns (U, resid, iters).
 
-    Unknowns are node-major (all components per node adjacent), so the
-    Jacobian has bandwidth k.
+    Each step solves with `_jacobian_solver` and halves the step (Armijo,
+    up to 50 times) until the max residual falls.  It serves the anchor
+    solve of `continuation` and `newton_refine`, whose starting states lie
+    outside the full-step Newton basin; the beta-walk uses its own
+    corrector, `_correct`.
     """
     k, n = U.shape
     U = U.copy()
@@ -197,24 +273,7 @@ def coupled_newton(grid: RadialGrid, beta: float, U: np.ndarray,
     for it in range(maxit):
         if nf < tol:
             return U, nf, it
-        ab = np.zeros((2 * k + 1, k * n))
-        T = [sum(U[j] ** 2 for j in range(k) if j != i) for i in range(k)]
-        for i in range(k):
-            rows = i + k * np.arange(n)
-            dii = (grid.op_diag - 3 * U[i] ** 2 + beta * T[i]).copy()
-            dii[-1] = 1.0
-            ab[k, rows] = dii
-            ab[0, rows[:-1] + k] = grid.op_upper
-            ab[2 * k, rows[1:] - k] = grid.op_lower
-            ab[2 * k, rows[-1] - k] = 0.0
-            for j in range(k):
-                if j == i:
-                    continue
-                vals = (2 * beta * U[i] * U[j]).copy()
-                vals[-1] = 0.0
-                ab[k + i - j, j + k * np.arange(n)] = vals
-        d = solve_banded((k, k), ab, -F.T.reshape(-1))
-        dU = d.reshape(n, k).T
+        dU = _jacobian_solver(grid, beta, U)(-F)
         t = 1.0
         ok = False
         for _ in range(50):
@@ -310,11 +369,10 @@ def minimize_m_beta(beta: float, start: PulseEnsemble, config: SolverConfig,
 def _picard_step(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
     """Solve (-Lap + 1 + beta T_i) V_i = U_i^3 for each component of a
     nonnegative state; identity row at r_max."""
-    k = U.shape[0]
+    T = _cross_sq(U)
     V = np.empty_like(U)
-    for i in range(k):
-        T = sum(U[j] ** 2 for j in range(k) if j != i)
-        diag = grid.op_diag + beta * T
+    for i in range(U.shape[0]):
+        diag = grid.op_diag + beta * T[i]
         diag[-1] = 1.0
         rhs = U[i] ** 3
         rhs[-1] = 0.0
@@ -388,104 +446,133 @@ def newton_refine(beta: float, ensemble: PulseEnsemble,
     )
 
 
-def _walk_beta(grid: RadialGrid, U, b_from: float, b_to: float,
+def _tangent(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
+    """Branch tangent dU/dlog10(beta) = -J^{-1} dF/dlog10(beta) at a
+    converged state: one factorization and one solve."""
+    dF = np.log(10.0) * beta * U * _cross_sq(U)
+    dF[:, -1] = 0.0
+    return _jacobian_solver(grid, beta, U)(-dF)
+
+
+def _correct(grid: RadialGrid, beta: float, U: np.ndarray,
+             tol: float) -> Optional[np.ndarray]:
+    """Full-step Newton from a predicted state; the converged state, or
+    None once the trial is judged outside the Newton basin.
+
+    After each step dU, one more solve with the same factors gives the
+    simplified-Newton correction at U + dU, and its ratio to dU in the
+    max norm is the contraction Theta (Deuflhard).  Theta >= 1/2 rejects
+    the trial at once, so a too-long continuation step costs one or two
+    Newton steps.  With
+    Theta < 1/2 every correction at least halves; accepted trials on the
+    reference sweeps take 2 to 6 steps, and 20 bounds a slow contraction.
+    """
+    F = residual_components(grid, beta, U)
+    for _ in range(20):
+        if np.max(np.abs(F)) < tol:
+            return U
+        solve = _jacobian_solver(grid, beta, U)
+        dU = solve(-F)
+        U = U + dU
+        F = residual_components(grid, beta, U)
+        if np.max(np.abs(F)) >= tol and not (
+                np.max(np.abs(solve(-F))) < 0.5 * np.max(np.abs(dU))):
+            return None
+    return U if np.max(np.abs(F)) < tol else None
+
+
+def _walk_beta(grid: RadialGrid, U, b_from: float, targets,
                tol: float = 1e-10, max_solves: int = 400):
-    """Adaptive log-beta walk from a converged state at b_from to b_to."""
-    U = U.copy()
-    lf, lt = np.log10(b_from), np.log10(b_to)
-    pos = lf
-    step = lt - lf
+    """Walk the branch from a converged state at b_from through targets.
+
+    The targets are couplings in walking order, all on one side of
+    b_from.  Each trial predicts along the tangent and corrects with
+    `_correct`; the log-coupling step grows by 1.7 after an accepted
+    trial and shrinks by 0.35 after a rejected one, and every segment
+    between targets starts at 0.25 decade or less.  Returns the converged
+    states at the targets reached, in order, and the coupling reached: the
+    walk stops short when the step falls under 1e-4 decade or after
+    max_solves corrector calls.
+    """
+    states = []
+    pos = np.log10(b_from)
+    tangent = None
     solves = 0
-    while abs(pos - lt) > 1e-14 and solves < max_solves:
-        trial = pos + step if abs(step) < abs(lt - pos) else lt
-        U2, res, _ = coupled_newton(grid, 10.0**trial, U, tol=tol, maxit=40)
-        solves += 1
-        if res < tol:
-            U, pos = U2, trial
-            step *= 1.7
-            if abs(step) > abs(lt - pos):
-                step = lt - pos
-        else:
-            step *= 0.35
-            if abs(step) < 1e-4:
-                return U, 10.0**pos, solves, False
-    return U, 10.0**pos, solves, solves < max_solves
+    for b_to in targets:
+        lt = np.log10(b_to)
+        step = float(np.clip(lt - pos, -0.25, 0.25))
+        while pos != lt:
+            if tangent is None:
+                tangent = _tangent(grid, 10.0**pos, U)
+            trial = pos + step if abs(step) < abs(lt - pos) else lt
+            beta = b_to if trial == lt else 10.0**trial
+            U2 = _correct(grid, beta, U + (trial - pos) * tangent, tol)
+            solves += 1
+            if U2 is not None:
+                U, pos, tangent = U2, trial, None
+                step *= 1.7
+            else:
+                step *= 0.35
+                if abs(step) < 1e-4 or solves >= max_solves:
+                    return states, 10.0**pos
+        states.append(U)
+    return states, 10.0**pos
 
 
 def continuation(profile: NodalProfile, assignment: Assignment,
                  config: SolverConfig) -> list:
-    """One SolutionRecord per schedule stage, warm starts throughout.
+    """One SolutionRecord per accepted schedule stage, in schedule order.
 
-    The first stage state comes from anchoring at a large coupling (the
-    segregated guess converges there) and walking the coupling down along
-    the branch; later stages reuse the previous stage's state.  Stage
-    failures are recorded and the run continues from the last good state.
+    The branch is anchored by a damped Newton solve at a large coupling,
+    where the segregated guess is nearly exact, and walked once: down
+    through the schedule points at or below the anchor, then up through
+    those above it.  Each stage starts from its own walked state: its
+    pulses are cut at the re-located bump centers, descended and refined.
+    A failed stage, including one beyond a walk stall, is reported as a
+    `StageFailure` warning naming its cause and is absent from the
+    records; the other stages are unaffected.  A failed anchor solve
+    raises NewtonDivergence.
     """
     grid = profile.grid
     guess = initial_guess(profile, assignment)
     schedule = config.beta_schedule
-    records = []
     anchor = max(config.anchor_beta, schedule[0])
-    K = guess.components()
-    U, res, _ = coupled_newton(grid, anchor, K, tol=config.newton_tol, maxit=120)
+    U, res, _ = coupled_newton(
+        grid, anchor, guess.components(), tol=config.newton_tol, maxit=120
+    )
     if res > config.newton_tol:
         raise NewtonDivergence(f"anchor solve stalled at residual {res:.2e}")
-    if abs(anchor - schedule[0]) > 0:
-        U, reached, _, ok = _walk_beta(
-            grid, U, anchor, schedule[0], tol=config.newton_tol
-        )
-        if not ok:
-            raise NewtonDivergence(
+    states, stalls = {}, {}
+    for targets in ([b for b in reversed(schedule) if b <= anchor],
+                    [b for b in schedule if b > anchor]):
+        walked, reached = _walk_beta(grid, U, anchor, targets,
+                                     tol=config.newton_tol)
+        states.update(zip(targets, walked))
+        for beta in targets[len(walked):]:
+            stalls[beta] = NewtonDivergence(
                 f"branch walk stalled near coupling {reached:.4g}"
             )
-    centers = [int(np.argmax(guess.pulses[q])) for q in range(assignment.h)]
-    # the walked-down state is compressed relative to the segregated guess,
-    # so re-locate the bump centers before cutting it into pulses
-    centers = component_centers(grid, assignment, U, reference=centers)
-    state = PulseEnsemble(
-        grid, assignment, split_components(grid, assignment, U, centers)
-    )
-    prev_beta = schedule[0]
-    prev_U = U
+    # walked states are compressed relative to the segregated guess, so
+    # re-locate the bump centers before cutting them into pulses
+    reference = [int(np.argmax(p)) for p in guess.pulses]
+    records = []
     for beta in schedule:
         try:
-            if beta != prev_beta:
-                # direct jump, adaptive walk as fallback
-                U2, res, _ = coupled_newton(
-                    grid, beta, prev_U, tol=config.newton_tol, maxit=40
-                )
-                if res > config.newton_tol:
-                    U2, _, _, ok = _walk_beta(
-                        grid, prev_U, prev_beta, beta, tol=config.newton_tol
-                    )
-                    if not ok:
-                        raise NewtonDivergence(
-                            f"no converged state at coupling {beta:g}"
-                        )
-                centers = component_centers(
-                    grid, assignment, U2, reference=centers
-                )
-                state = PulseEnsemble(
-                    grid,
-                    assignment,
-                    split_components(grid, assignment, U2, centers),
-                )
+            if beta in stalls:
+                raise stalls[beta]
+            centers = component_centers(
+                grid, assignment, states[beta], reference=reference
+            )
+            state = PulseEnsemble(
+                grid, assignment,
+                split_components(grid, assignment, states[beta], centers),
+            )
             ens = minimize_m_beta(beta, state, config, target=profile)
-            rec = newton_refine(beta, ens, config=config, target=profile)
-            records.append(rec)
-            state = rec.ensemble
-            centers = [
-                int(np.argmax(state.pulses[q])) for q in range(assignment.h)
-            ]
-            prev_U = state.components(rec.lambda_bar)
-            prev_beta = beta
+            records.append(newton_refine(beta, ens, config=config, target=profile))
         except SolveError as exc:
-            # keep going from the last good state; the stage is absent
-            # from the records rather than papered over
             warnings.warn(
                 f"stage beta={beta:g} failed: {exc}",
                 StageFailure,
                 stacklevel=2,
             )
-            continue
     return records

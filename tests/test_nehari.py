@@ -223,6 +223,28 @@ def test_degenerate_pulse(small_grid):
         af.maximize_phi(1.0, ens)
 
 
+def test_saddle_typed_independently_of_roundoff():
+    # a saddle of the scaling energy, with the pulses rescaled so that it
+    # sits at the ones vector and then perturbed at the 1e-11 level: the
+    # gradient there (4.4e-8) is above the absolute tolerance but is
+    # roundoff next to |Q 1| = 497, so the stage is still a saddle
+    g = af.build_grid(2, 1025, 30.0)
+    P = gaussian_pulses(g, [5.0, 6.0, 7.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    ens = ensemble_on(g, (1, 2, 1), P)
+    lam = np.array([0.221, 1.887, 1.834])
+    for _ in range(8):
+        lam -= np.linalg.solve(af.hess_phi(0.5, ens, lam), af.grad_phi(0.5, ens, lam))
+    assert np.linalg.norm(af.grad_phi(0.5, ens, lam)) < 1e-12
+    assert np.linalg.eigvalsh(af.hess_phi(0.5, ens, lam)).max() > 0
+    scale = lam * (1.0 + 3e-11 * np.array([1.0, -1.0, 1.0]))
+    shifted = ensemble_on(g, (1, 2, 1), P * scale[:, None])
+    ones = np.ones(3)
+    assert 1e-8 < np.linalg.norm(af.grad_phi(0.5, shifted, ones)) < 1e-7
+    with pytest.raises(af.SaddleScaling) as info:
+        af.maximize_phi(0.5, shifted)
+    assert sum(x > 0 for x in info.value.eigenvalues) == 1
+
+
 def test_nonpositive_start_rejected(small_grid):
     P = gaussian_pulses(small_grid, [4.0, 9.0], [1.0, 1.0], [1.0, 1.0])
     ens = ensemble_on(small_grid, (1, 2), P)

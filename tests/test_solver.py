@@ -1,7 +1,10 @@
 """Coupled solver: descent of the maximized scaling energy, banded Newton,
 pulse re-extraction, and the staged continuation driver."""
+import sys
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import artifact as af
 
@@ -202,8 +205,8 @@ def test_continuation_three_stages(profile_h2, assignment_h2):
 
 def test_continuation_records_stage_failure(profile_h2, assignment_h2,
                                             monkeypatch):
-    # a failed stage must surface as a warning while the rest of the
-    # schedule still runs from the last good state
+    # a failed stage must surface as a warning while the other stages
+    # still run, each from its own walked state
     real = af.minimize_m_beta
     def flaky(beta, state, config, target=None):
         if beta == 10.0:
@@ -215,3 +218,97 @@ def test_continuation_records_stage_failure(profile_h2, assignment_h2,
         recs = af.continuation(profile_h2, assignment_h2, cfg)
     assert [r.beta for r in recs] == [1.0, 100.0]
     assert all(r.accepted for r in recs)
+
+
+def test_continuation_makes_one_newton_call_of_its_own(profile_h2, assignment_h2,
+                                                       monkeypatch):
+    # the anchor is the only damped Newton solve of the driver; the walk
+    # runs on its own corrector and every other call is a refinement
+    real = af.coupled_newton
+    callers = []
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr("artifact.solver.coupled_newton", spy)
+    cfg = af.SolverConfig(beta_schedule=(1.0, 10.0, 100.0))
+    recs = af.continuation(profile_h2, assignment_h2, cfg)
+    assert len(recs) == 3
+    assert callers.count("continuation") == 1
+    assert callers.count("newton_refine") == 3
+    assert len(callers) == 4
+
+
+def test_walk_stall_fails_only_the_stages_beyond_it(profile_h2, assignment_h2,
+                                                    monkeypatch):
+    real = af.solver._correct
+    def reject_weak(grid, beta, U, tol):
+        return None if beta < 50.0 else real(grid, beta, U, tol)
+    monkeypatch.setattr("artifact.solver._correct", reject_weak)
+    cfg = af.SolverConfig(beta_schedule=(1.0, 10.0, 100.0))
+    with pytest.warns(af.StageFailure) as caught:
+        recs = af.continuation(profile_h2, assignment_h2, cfg)
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, af.StageFailure)]
+    assert [m.split(" failed")[0] for m in messages] == [
+        "stage beta=1", "stage beta=10"]
+    for m in messages:
+        assert "branch walk stalled near coupling" in m
+        reached = float(m.rsplit(" ", 1)[1])
+        assert 50.0 <= reached < 100.0
+    assert [r.beta for r in recs] == [100.0]
+    assert recs[0].accepted
+
+
+def test_tangent_predictor_is_first_order(guess_h2):
+    g = guess_h2.grid
+    beta = 1000.0
+    U, res, _ = af.coupled_newton(g, beta, guess_h2.components(), maxit=120)
+    assert res < 1e-10
+    tangent = af.solver._tangent(g, beta, U)
+    errors = []
+    for step in (-0.2, -0.1):
+        pred = U + step * tangent
+        V, res, _ = af.coupled_newton(g, beta * 10.0**step, pred, maxit=120)
+        assert res < 1e-10
+        errors.append(np.max(np.abs(V - pred)))
+    assert errors[1] > 1e-8
+    assert errors[0] >= 3.0 * errors[1]
+
+
+def _jacobian_bands_loop(grid, beta, U):
+    # the band assembly coupled_newton used before the numpy helper, in
+    # solve_banded((k, k)) layout
+    k, n = U.shape
+    ab = np.zeros((2 * k + 1, k * n))
+    T = [sum(U[j] ** 2 for j in range(k) if j != i) for i in range(k)]
+    for i in range(k):
+        rows = i + k * np.arange(n)
+        dii = (grid.op_diag - 3 * U[i] ** 2 + beta * T[i]).copy()
+        dii[-1] = 1.0
+        ab[k, rows] = dii
+        ab[0, rows[:-1] + k] = grid.op_upper
+        ab[2 * k, rows[1:] - k] = grid.op_lower
+        ab[2 * k, rows[-1] - k] = 0.0
+        for j in range(k):
+            if j == i:
+                continue
+            vals = (2 * beta * U[i] * U[j]).copy()
+            vals[-1] = 0.0
+            ab[k + i - j, j + k * np.arange(n)] = vals
+    return ab
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_jacobian_solver_matches_solve_banded(k, rng):
+    g = af.build_grid(2, 257, 20.0)
+    r = g.nodes
+    for beta in (0.0, 3.0, 1e4):
+        U = np.array([(1.0 + rng.uniform(0.0, 2.0)) * np.exp(-((r - c) ** 2))
+                      for c in rng.uniform(2.0, 12.0, size=k)])
+        U += 1e-3 * rng.standard_normal(U.shape)
+        ab = _jacobian_bands_loop(g, beta, U)
+        solve = af.solver._jacobian_solver(g, beta, U)
+        for _ in range(3):
+            F = rng.standard_normal(U.shape)
+            ref = solve_banded((k, k), ab, F.T.reshape(-1)).reshape(g.n_points, k).T
+            assert np.array_equal(solve(F), ref)
