@@ -6,16 +6,16 @@ Two independent routes to the same object:
   of sign changes, then a damped Newton polish of the discrete boundary
   value problem, then a per-annulus resolve of each nonnegative bump.
 * ``compute_c_infinity``: direct minimization of the summed bump energies
-  over the interface radii (dynamic-programming seed on a sparse radius
-  set, then coordinate descent with golden-section line searches in the
-  continuous radii).
+  over the interface radii (dynamic-programming seed on a coarse radius
+  set, then Newton on the exact radius derivatives of the cell energies in
+  the continuous radii).
 
 Both report the partition energy c = sum of per-bump energies and the
 interface radii; agreement between them is the main cross-check of the
 discretization.
 
 One annulus solver, ``_annulus_cont``, serves every cell: the seed, the
-line searches and the final split (radii on grid nodes make it the grid
+Newton walk and the final split (radii on grid nodes make it the grid
 problem on the cell's interior nodes).  One damped Newton, ``_newton``,
 polishes every boundary value problem: the global field, each bump and
 each cell, always on a window of nodes with zero values outside.
@@ -198,11 +198,13 @@ def _bisect_amplitude(grid: RadialGrid, h: int) -> float:
         a *= 1.25
     if hi is None or lo is None:
         raise BracketingFailure(f"no amplitude bracket for h={h}")
-    # the shots carry rtol=1e-11, so finer count decisions are noise;
-    # the Newton polish only needs the basin
+    # a wide bracket's count is decided at rtol=1e-9, at half the cost;
+    # the last stretch needs rtol=1e-11, and finer count decisions than
+    # that are noise; the Newton polish only needs the basin
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        c = count_sign_changes(_shoot_values(grid, mid, rtol=1e-11))
+        rtol = 1e-9 if hi - lo > 1e-6 * hi else 1e-11
+        c = count_sign_changes(_shoot_values(grid, mid, rtol=rtol))
         if c >= h:
             hi = mid
         else:
@@ -211,16 +213,11 @@ def _bisect_amplitude(grid: RadialGrid, h: int) -> float:
 
 
 def _clean_tail(r, wv, h):
-    """Trim the post-decay garbage of a shot; return field + interior zeros."""
+    """Trim the post-decay garbage of a shot past its (h-1)-th flip."""
     aw = np.abs(wv)
     s = np.sign(wv)
-    flips = np.where(s[1:] * s[:-1] < 0)[0]
-    zeros = []
-    for i in flips:
-        zr = r[i] - wv[i] * (r[i + 1] - r[i]) / (wv[i + 1] - wv[i])
-        zeros.append((i, zr))
-    zs = zeros[: h - 1]
-    start = zs[-1][0] + 1 if zs else 0
+    flips = np.where(s[1:] * s[:-1] < 0)[0][: h - 1]
+    start = flips[-1] + 1 if len(flips) else 0
     tail = aw[start:]
     cut = len(wv)
     floor_thresh = 1e-6 * aw.max()
@@ -232,7 +229,7 @@ def _clean_tail(r, wv, h):
         amp = wv[cut - 1]
         out[cut:] = amp * np.exp(-(r[cut:] - r[cut - 1]))
     out[-1] = 0.0
-    return out, [z for _, z in zs]
+    return out
 
 
 def _newton(lo, di, up, u, tol, maxit):
@@ -286,7 +283,7 @@ def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> N
     n = grid.n_points
     a = _bisect_amplitude(grid, h)
     wv = _shoot_values(grid, a, rtol=1e-12)
-    u0, _ = _clean_tail(r, wv, h)
+    u0 = _clean_tail(r, wv, h)
 
     def polish(j0, j1, u):
         # Newton on nodes j0..j1-1, zero at every other node
@@ -358,8 +355,8 @@ def annulus_ground_state(grid: RadialGrid, r_lo: float, r_hi: float,
     """
     if not 0 <= r_lo <= r_hi <= grid.r_max + 1e-12:
         raise ConfigError(f"bad annulus [{r_lo}, {r_hi}]")
-    out, J = _annulus_cont(grid, r_lo, r_hi, origin=(r_lo == 0.0),
-                           u_init=u_init, pgd_iters=pgd_iters, dec_tol=dec_tol)
+    out, J, _ = _annulus_cont(grid, r_lo, r_hi, origin=(r_lo == 0.0),
+                              u_init=u_init, pgd_iters=pgd_iters, dec_tol=dec_tol)
     if out is None:
         raise EmptyAnnulus(
             f"annulus ({r_lo:.4g}, {r_hi:.4g}) has too few interior nodes"
@@ -375,10 +372,11 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
     between nodes, entering through partial-interval flux and quadrature
     terms so the energy varies smoothly with a and b.  At a = r[jlo],
     b = r[jhi] the cell is the grid problem on the nodes jlo < j < jhi.
-    Returns (field on the full grid, energy), or (None, inf) when fewer
-    than 8 nodes lie inside.  The descent's preconditioner, the cell's
-    -Lap+1, is LU-factored once per cell and reused by every step; only
-    the Newton polish, whose matrix changes each step, solves afresh.
+    Returns (field on the full grid, energy, (dE/da, dE/db)), or
+    (None, inf, None) when fewer than 8 nodes lie inside; dE/da is 0 for
+    the center ball.  The descent's preconditioner, the cell's -Lap+1, is
+    LU-factored once per cell and reused by every step; only the Newton
+    polish, whose matrix changes each step, solves afresh.
     """
     n = grid.n_points
     r, dr = grid.nodes, grid.dr
@@ -395,7 +393,7 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
         jlast -= 1
     m = jlast - jfirst + 1
     if m < 8:
-        return None, np.inf
+        return None, np.inf, None
     rw_ = r[jfirst : jlast + 1]
 
     def gmean(ra, rb):
@@ -404,6 +402,14 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
         if dim == 2:
             return 2.0 * ra * rb / (ra + rb)
         return ra * rb
+
+    def dgmean(ra, rb):
+        # derivative of gmean in rb
+        if dim == 1:
+            return 0.0
+        if dim == 2:
+            return 2.0 * ra * ra / (ra + rb) ** 2
+        return ra
 
     # edge q joins unknowns q-1 and q; edges 0 and m reach the boundary
     elen = np.full(m + 1, dr)
@@ -468,7 +474,7 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
         u = u_init[jfirst : jlast + 1].copy()
     u, Jp = proj(u)
     if u is None:
-        return None, np.inf
+        return None, np.inf, None
 
     precond = factor_tridiag(low, diw, upw)
 
@@ -491,6 +497,18 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
                 break
         return u, Jp
 
+    def slopes(u):
+        # envelope theorem: at the minimizer the energy's radius derivative
+        # is its explicit one, 1/2 d(aa) - 1/4 d(bb) at fixed nodal values;
+        # a radius moves only its boundary edge and its end node's mass
+        def end(q, x, rad, v, sgn):
+            # sgn = d elen[q] / d rad: -1 at the inner edge, +1 at the outer
+            dwq = 0.5 * sN * x ** (dim - 1) * sgn
+            dg = (dgmean(x, rad) * elen[q] - sgn * ge[q]) / elen[q] ** 2
+            return 0.5 * (dwq + sN * dg) * v * v - 0.25 * dwq * v**4
+        da = 0.0 if origin else end(0, rw_[0], a, u[0], -1.0)
+        return float(da), float(end(m, rw_[-1], b, u[-1], 1.0))
+
     out = np.zeros(n)
     # descent in chunks with early polish attempts; a polish is accepted
     # only when it lands in the basin the descent is tracking
@@ -501,12 +519,13 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
         spent += chunk
         u2, resid, _ = _newton(low, diw, upw, u, 1e-12, 40)
         if resid < 1e-10 and u2.min() > -1e-9:
-            J2 = 0.25 * np.dot(wq, np.maximum(u2, 0.0) ** 4)
+            u2 = np.maximum(u2, 0.0)
+            J2 = 0.25 * np.dot(wq, u2**4)
             if abs(J2 - Jp) < 0.05 * abs(Jp) + 1e-6:
-                out[jfirst : jlast + 1] = np.maximum(u2, 0.0)
-                return out, float(J2)
+                out[jfirst : jlast + 1] = u2
+                return out, float(J2), slopes(u2)
     out[jfirst : jlast + 1] = u
-    return out, float(0.25 * np.dot(wq, u**4))
+    return out, float(0.25 * np.dot(wq, u**4)), slopes(u)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +533,11 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
 
 
 def _partition_seed(grid: RadialGrid, h: int):
-    """Integer interface seed: DP over a sparse radius set, then one
-    multiscale argmin sweep.  Cell solves are cold so the cached energies
-    are deterministic and basin-stable."""
+    """Integer interface seed: the best chain of cells whose edges lie on
+    a coarse radius set (geometric offsets from the axis, doubling, plus
+    six evenly spaced nodes), found by dynamic programming.  It only has
+    to land in the optimum's basin; ``_stationary_radii`` refines it.
+    Cell solves are cold so the energies are deterministic."""
     r = grid.nodes
     last = grid.n_points - 1
     cache = {}
@@ -531,13 +552,13 @@ def _partition_seed(grid: RadialGrid, h: int):
     if h == 1:
         return [0, last]
     # the objective is a chain sum over cells, so a dynamic program over a
-    # sparse candidate set finds the global basin
+    # coarse candidate set finds the global basin
     cand0 = set()
     off = 8
     while off < last - 8:
         cand0.add(off)
-        off = int(off * 1.45) + 1
-    cand0.update(int(x) for x in np.linspace(8, last - 8, 14))
+        off = 2 * off + 1
+    cand0.update(int(x) for x in np.linspace(8, last - 8, 6))
     C = sorted(cand0)
     INF = float("inf")
     D = [[INF] * len(C) for _ in range(h - 1)]
@@ -568,132 +589,95 @@ def _partition_seed(grid: RadialGrid, h: int):
     for l in range(h - 2, 0, -1):
         bestjj = back[l][bestjj]
         cuts.append(C[bestjj])
-    bounds = [0] + cuts[::-1] + [last]
+    return [0] + cuts[::-1] + [last]
 
-    def EofJ(i, jc):
-        return cellE(bounds[i - 1], jc, i == 1) + cellE(jc, bounds[i + 1], False)
 
-    for i in range(1, h):
-        jlo, jhi = bounds[i - 1], bounds[i + 1]
-        if jhi - jlo < 18:
-            continue
-        cand = set()
-        off = 8
-        while jlo + off < jhi - 8:
-            cand.add(jlo + off)
-            off = int(off * 1.6) + 1
-        cand.update(int(x) for x in np.linspace(jlo + 8, jhi - 8, 12))
-        for d_ in (1, 3, 9, 27, 81):
-            cand.add(bounds[i] - d_)
-            cand.add(bounds[i] + d_)
-        cand.add(bounds[i])
-        cand = sorted(c for c in set(cand) if jlo + 8 <= c <= jhi - 8)
-        Es = [EofJ(i, c) for c in cand]
-        bounds[i] = cand[int(np.argmin(Es))]
-    return bounds
+def _stationary_radii(grid: RadialGrid, rho):
+    """Newton on dE/drho_i = dJ_{i-1}/db + dJ_i/da over the interior radii.
+
+    One pass over the h cells gives E and its gradient, since every cell
+    solve returns both radius derivatives.  A cell couples only its two
+    radii, so the Hessian is tridiagonal; it comes from one-sided
+    differences of each cell's derivatives, and is kept while full steps
+    stay under dr.  A step halves until E does not rise; the radii are
+    returned once no radius moves more than 1e-3 dr.
+    """
+    h = len(rho) - 1
+    dr, r = grid.dr, grid.nodes
+    warm = [None] * h
+
+    def cell(l, x):
+        # the warm field is stretched onto the new cell, so a bump keeps
+        # its place relative to the edges (on the line it would drift back
+        # to the centre only at a rate of about e^{-distance})
+        u = None
+        if warm[l] is not None:
+            a, b = rho[l], rho[l + 1]
+            s = a + (r - x[l]) * (b - a) / (x[l + 1] - x[l])
+            u = np.interp(s, r, warm[l])
+        return _annulus_cont(grid, x[l], x[l + 1], origin=(l == 0),
+                             u_init=u, pgd_iters=160)
+
+    def cells(x):
+        sols = [cell(l, x) for l in range(h)]
+        return sols, sum(J for _, J, _ in sols)
+
+    sols, E = cells(rho)
+    H, stale = None, True
+    for _ in range(40):
+        warm = [u for u, _, _ in sols]
+        S = np.array([dJ for _, _, dJ in sols])
+        g = S[:-1, 1] + S[1:, 0]
+        if stale:
+            H = np.zeros((h - 1, h - 1))
+            for i in range(1, h):
+                # radius i is the outer edge of cell i-1, the inner of cell i
+                for l, e in ((i - 1, 1), (i, 0)):
+                    # the shift grows the cell, so it keeps all its nodes
+                    eps = (0.05 if e else -0.05) * dr
+                    x = rho.copy()
+                    x[i] += eps
+                    ds = (np.array(cell(l, x)[2]) - S[l]) / eps
+                    H[i - 1, i - 1] += ds[e]
+                    if 0 < l < h - 1:
+                        H[l - 1, l] += 0.5 * ds[1 - e]
+                        H[l, l - 1] += 0.5 * ds[1 - e]
+        d = -np.linalg.solve(H, g)
+        if np.dot(d, g) >= 0:
+            d = -g / np.abs(np.diag(H))
+        t = 1.0
+        while t > 1e-4:
+            x = rho.copy()
+            x[1:-1] += t * d
+            if np.all(np.diff(x) > 0):
+                trial, Et = cells(x)
+                if Et <= E + 1e-13 * abs(E):
+                    break
+            t *= 0.5
+        else:
+            break
+        rho, sols, E = x, trial, Et
+        step = np.max(np.abs(t * d))
+        if step <= 1e-3 * dr:
+            break
+        stale = t < 1.0 or step > dr
+    return rho
 
 
 def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> NodalProfile:
     """Partition route: minimize the summed bump energies over the radii.
 
-    Golden-section coordinate descent in the continuous interface radii on
-    top of the integer seed; the warm field per line search is reset at
-    each new line search so the search never inherits a wrong basin.
+    Newton in the continuous interface radii from the integer seed.  At
+    the minimum dE/drho_i = 0 at every interface, the discrete form of
+    the equal-flux (C^1) matching of the nodal solution.
     """
     if h < 1:
         raise ConfigError(f"h must be at least 1, got {h}")
     r, dr = grid.nodes, grid.dr
     n = grid.n_points
-    bounds = _partition_seed(grid, h)
-    if h == 1:
-        rho = [0.0, grid.r_max]
-    else:
-        rho = [0.0] + [r[j] for j in bounds[1:-1]] + [grid.r_max]
-        warm = {}
-
-        def EC(a, b, origin, slot):
-            u, J = _annulus_cont(grid, a, b, origin=origin,
-                                 u_init=warm.get(slot), pgd_iters=160)
-            if u is not None:
-                warm[slot] = u
-            return J
-
-        invphi = (np.sqrt(5) - 1) / 2
-
-        def line_search(i):
-            lo_ = rho[i - 1] + 9 * dr
-            hi_ = rho[i + 1] - 9 * dr
-            warm.pop((i, "L"), None)
-            warm.pop((i, "R"), None)
-
-            def f(x):
-                return EC(rho[i - 1], x, i == 1, (i, "L")) + EC(
-                    x, rho[i + 1], False, (i, "R")
-                )
-
-            x0 = min(max(rho[i], lo_), hi_)
-            f0 = f(x0)
-            # march downhill with growing steps until the value turns up
-            s = 2.0 * dr
-            fp = f(min(x0 + s, hi_))
-            fm = f(max(x0 - s, lo_))
-            if f0 <= fp and f0 <= fm:
-                a_, b_ = max(x0 - s, lo_), min(x0 + s, hi_)
-            else:
-                if fp < fm:
-                    sgn, fb = 1.0, fp
-                else:
-                    sgn, fb = -1.0, fm
-                xa, xb = x0, x0 + sgn * s
-                while True:
-                    s *= 1.8
-                    xc = xb + sgn * s
-                    if xc <= lo_ or xc >= hi_:
-                        xc = lo_ if sgn < 0 else hi_
-                        fc = f(xc)
-                        if fc < fb:
-                            return xc
-                        break
-                    fc = f(xc)
-                    if fc >= fb:
-                        break
-                    xa, xb, fb = xb, xc, fc
-                a_, b_ = (xa, xc) if xa < xc else (xc, xa)
-            x1 = b_ - invphi * (b_ - a_)
-            x2 = a_ + invphi * (b_ - a_)
-            f1, f2 = f(x1), f(x2)
-            while b_ - a_ > 3e-2 * dr:
-                if f1 < f2:
-                    b_, x2, f2 = x2, x1, f1
-                    x1 = b_ - invphi * (b_ - a_)
-                    f1 = f(x1)
-                else:
-                    a_, x1, f1 = x1, x2, f2
-                    x2 = a_ + invphi * (b_ - a_)
-                    f2 = f(x2)
-            return 0.5 * (a_ + b_)
-
-        hist = []
-        for sweep in range(30):
-            moved = 0.0
-            for i in range(1, h):
-                xstar = line_search(i)
-                moved = max(moved, abs(xstar - rho[i]))
-                rho[i] = xstar
-            hist.append(list(rho))
-            if moved < 0.3 * dr:
-                break
-            # geometric relaxation: extrapolate each radius to its limit
-            if len(hist) >= 3 and sweep % 3 == 2:
-                p0, p1, p2 = hist[-3], hist[-2], hist[-1]
-                for i in range(1, h):
-                    d1, d2 = p1[i] - p0[i], p2[i] - p1[i]
-                    if abs(d1) > 1e-14 and 0 < d2 / d1 < 0.95:
-                        ratio = d2 / d1
-                        tgt = p2[i] + d2 * ratio / (1.0 - ratio)
-                        lo_ = rho[i - 1] + 9 * dr
-                        hi_ = rho[i + 1] - 9 * dr
-                        rho[i] = min(max(tgt, lo_), hi_)
+    rho = r[_partition_seed(grid, h)]
+    if h > 1:
+        rho = _stationary_radii(grid, rho)
 
     # final bump fields are solved on cells whose radii are the grid nodes
     # nearest the optimal radii: such a cell is the grid problem on its
@@ -703,7 +687,7 @@ def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> No
     jbounds = [0] + jcuts + [n - 1]
     bumps, energies = [], []
     for l in range(h):
-        ub, _ = _annulus_cont(grid, r[jbounds[l]], r[jbounds[l + 1]],
+        ub, _, _ = _annulus_cont(grid, r[jbounds[l]], r[jbounds[l + 1]],
                               origin=(l == 0))
         if ub is None:
             raise EmptyAnnulus(f"collapsed cell {l + 1} in the final split")
