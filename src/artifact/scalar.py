@@ -3,8 +3,10 @@
 Two independent routes to the same object:
 
 * ``find_nodal_solution``: shooting with amplitude bisection on the number
-  of sign changes, then a damped Newton polish of the discrete boundary
-  value problem, then a per-annulus resolve of each nonnegative bump.
+  of sign changes, each bisection shot stopped where its count becomes
+  final (``_stopped_count``); then one shot at the final amplitude sampled
+  on the nodes, a damped Newton polish of the discrete boundary value
+  problem, and a per-annulus resolve of each nonnegative bump.
 * ``compute_c_infinity``: direct minimization of the summed bump energies
   over the interface radii (dynamic-programming seed on a coarse radius
   set, then Newton on the exact radius derivatives of the cell energies in
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 
 from .errors import (
     BracketingFailure,
@@ -52,6 +54,7 @@ OSCILLATING = "Oscillating"
 
 BLOWUP_LIMIT = 1.0e6
 SIGN_DEADBAND = 1e-12
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -93,15 +96,14 @@ def _ode_rhs(dim):
     return f
 
 
-def _integrate(grid: RadialGrid, amplitude: float, rtol: float = 1e-12,
-               events=None):
+def _integrate(grid: RadialGrid, amplitude: float, events=None):
     return solve_ivp(
         _ode_rhs(grid.dimension),
         (0.0, grid.r_max),
         [amplitude, 0.0],
         method="DOP853",
         t_eval=grid.nodes,
-        rtol=rtol,
+        rtol=1e-12,
         atol=1e-14,
         events=events,
     )
@@ -138,7 +140,7 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
     decay.terminal = True
     decay.direction = -1
 
-    sol = _integrate(grid, amplitude, rtol=1e-12, events=(blow, decay))
+    sol = _integrate(grid, amplitude, events=(blow, decay))
     if sol.status == -1:
         raise StepFailure(sol.message)
     n = grid.n_points
@@ -177,19 +179,55 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
     )
 
 
-def _shoot_values(grid: RadialGrid, amplitude: float, rtol: float) -> np.ndarray:
-    sol = _integrate(grid, amplitude, rtol=rtol)
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-    return sol.y[0]
+def _stopped_count(grid: RadialGrid, amplitude: float, h: int, rtol: float) -> int:
+    """Sign changes of the shot from w(0)=amplitude: exact below h, else h.
+
+    The shot stops at its h-th sign change, or once E < 0 (see
+    ``_bisect_amplitude``); an amplitude under sqrt(2) has
+    E(0) = a^4/4 - a^2/2 < 0 and needs no shot.  Signs are read at the
+    accepted steps of Hairer's compiled DOP853, which calls back once per
+    step, so only the right-hand side runs in Python.  A failed
+    integration raises; its partial count is never used.
+    """
+    if amplitude * amplitude < 2.0:
+        return 0
+    flips, last = 0, 1.0
+
+    def step(t, y):
+        nonlocal flips, last
+        wv, p = y
+        if abs(wv) >= SIGN_DEADBAND and wv * last < 0:
+            flips, last = flips + 1, -last
+            if flips >= h:
+                return -1
+        if 0.5 * p * p - 0.5 * wv * wv + 0.25 * wv**4 < 0:
+            return -1
+        return 0
+
+    solver = ode(_ode_rhs(grid.dimension)).set_integrator(
+        "dop853", rtol=rtol, atol=1e-14, nsteps=10**6)
+    solver.set_solout(step)
+    solver.set_initial_value([amplitude, 0.0], 0.0)
+    solver.integrate(grid.r_max)
+    if not solver.successful():
+        raise StepFailure(
+            f"dop853 failed (code {solver.get_return_code()}) at r={solver.t:.6g}"
+        )
+    return flips
 
 
 def _bisect_amplitude(grid: RadialGrid, h: int) -> float:
-    """Smallest amplitude whose shot makes exactly h-1 interior flips."""
+    """Smallest amplitude whose shot makes exactly h-1 interior flips.
+
+    A shot only answers "at least h sign changes?", and it stops where the
+    answer is final (``_stopped_count``): yes at its h-th zero; no once its
+    energy E = w'^2/2 - w^2/2 + w^4/4 is negative, because E never rises
+    along r (dE/dr = -(N-1)/r w'^2) and is nonnegative at every zero.
+    """
     lo = hi = None
     a = 1.2
     while a < 1e3:
-        c = count_sign_changes(_shoot_values(grid, a, rtol=1e-9))
+        c = _stopped_count(grid, a, h, rtol=1e-9)
         if c <= h - 1:
             lo = a
         if c >= h:
@@ -204,8 +242,7 @@ def _bisect_amplitude(grid: RadialGrid, h: int) -> float:
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         rtol = 1e-9 if hi - lo > 1e-6 * hi else 1e-11
-        c = count_sign_changes(_shoot_values(grid, mid, rtol=rtol))
-        if c >= h:
+        if _stopped_count(grid, mid, h, rtol=rtol) >= h:
             hi = mid
         else:
             lo = mid
@@ -282,8 +319,10 @@ def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> N
     r, dr = grid.nodes, grid.dr
     n = grid.n_points
     a = _bisect_amplitude(grid, h)
-    wv = _shoot_values(grid, a, rtol=1e-12)
-    u0 = _clean_tail(r, wv, h)
+    sol = _integrate(grid, a)
+    if sol.status == -1:
+        raise StepFailure(sol.message)
+    u0 = _clean_tail(r, sol.y[0], h)
 
     def polish(j0, j1, u):
         # Newton on nodes j0..j1-1, zero at every other node
@@ -509,6 +548,15 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
         da = 0.0 if origin else end(0, rw_[0], a, u[0], -1.0)
         return float(da), float(end(m, rw_[-1], b, u[-1], 1.0))
 
+    def settled(v, resid):
+        # a converged polish leaves roundoff of its row terms |di u| and
+        # |u|^3, which on fine grids (di ~ 1/dr^2) exceeds 1e-10
+        if resid < 1e-10:
+            return True
+        F = np.abs(apply_tridiag(low, diw, upw, v) - v**3)
+        rows = np.abs(diw * v) + np.abs(v) ** 3
+        return bool(np.all(F < np.maximum(1e-10, 4.0 * EPS * rows)))
+
     out = np.zeros(n)
     # descent in chunks with early polish attempts; a polish is accepted
     # only when it lands in the basin the descent is tracking
@@ -518,7 +566,7 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
         u, Jp = pgd(u, Jp, chunk)
         spent += chunk
         u2, resid, _ = _newton(low, diw, upw, u, 1e-12, 40)
-        if resid < 1e-10 and u2.min() > -1e-9:
+        if u2.min() > -1e-9 and settled(u2, resid):
             u2 = np.maximum(u2, 0.0)
             J2 = 0.25 * np.dot(wq, u2**4)
             if abs(J2 - Jp) < 0.05 * abs(Jp) + 1e-6:

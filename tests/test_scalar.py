@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import artifact as af
 from artifact.grid import (
@@ -66,6 +67,70 @@ def test_count_sign_changes_scale_invariant(scale, seed):
     vals = np.random.default_rng(seed).standard_normal(64)
     base = af.count_sign_changes(vals, deadband=0.0)
     assert af.count_sign_changes(scale * vals, deadband=0.0) == base
+
+
+def _sampled_count(grid, amplitude, rtol):
+    # the reference count: the whole shot to r_max, sampled on every node
+    sol = solve_ivp(af.scalar._ode_rhs(grid.dimension), (0.0, grid.r_max),
+                    [amplitude, 0.0], method="DOP853", t_eval=grid.nodes,
+                    rtol=rtol, atol=1e-14)
+    assert sol.status == 0
+    return af.count_sign_changes(sol.y[0])
+
+
+@pytest.mark.parametrize("dim, n, r_max", [(1, 257, 2.0), (2, 257, 10.0),
+                                           (3, 257, 10.0)])
+def test_stopped_count_decides_like_the_sampled_count(dim, n, r_max):
+    # a shot stopped where its count becomes final decides every bisection
+    # question "at least h sign changes?" as the node-sampled shot does
+    g = af.build_grid(dim, n, r_max)
+    hs = (1, 2, 3, 5)
+    for a in np.geomspace(1.2, 1e3, 12):
+        want = _sampled_count(g, a, 1e-9)
+        for h in hs:
+            got = af.scalar._stopped_count(g, a, h, rtol=1e-9)
+            assert min(got, h) == min(want, h), (a, h, got, want)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.4])
+def test_stopped_count_needs_no_shot_below_sqrt2(monkeypatch, grid_n1, a):
+    # E(0) = a^4/4 - a^2/2 < 0 and E never rises, so no zero can follow
+    def no_shot(*args, **kwargs):
+        raise AssertionError("integrated a shot that E(0) < 0 decides")
+
+    monkeypatch.setattr(af.scalar, "ode", no_shot)
+    assert af.scalar._stopped_count(grid_n1, a, 1, rtol=1e-9) == 0
+    assert af.count_sign_changes(af.shoot(grid_n1, a).trajectory.values) == 0
+
+
+def test_stopped_count_raises_on_integrator_failure(monkeypatch, grid_n1):
+    # a shot cut short by the step budget has only a partial count
+    real = af.scalar.ode
+
+    class ShortBudget(real):
+        def set_integrator(self, name, **params):
+            return super().set_integrator(name, **{**params, "nsteps": 5})
+
+    monkeypatch.setattr(af.scalar, "ode", ShortBudget)
+    with pytest.warns(UserWarning), pytest.raises(af.StepFailure):
+        af.scalar._stopped_count(grid_n1, 3.0, 5, rtol=1e-9)
+
+
+def test_nodal_solution_samples_only_its_final_shot(monkeypatch):
+    # the bisection's shots are decided by stopped counts; only the shot
+    # at the final amplitude is sampled on the nodes (sampling every
+    # bisection shot made 45 here)
+    g = af.build_grid(2, 4097, 40.0)
+    rtols = []
+
+    def spy(*args, **kwargs):
+        rtols.append(kwargs["rtol"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(af.scalar, "solve_ivp", spy)
+    profile = af.find_nodal_solution(g, 2)
+    assert rtols == [1e-12]
+    assert len(profile.node_radii) == 1
 
 
 def test_soliton_energy(soliton_profile):
@@ -245,6 +310,27 @@ def test_annulus_factors_its_preconditioner_once(monkeypatch):
     af.annulus_ground_state(g, 2.61, 9.47)
     assert len(factors) == 1
     assert callers and set(callers) == {"_newton"}
+
+
+def test_fine_cells_accept_their_first_polish(monkeypatch):
+    # on a fine N=3 grid (di ~ 1/dr^2 = 1.7e5) roundoff keeps a converged
+    # polish's max-norm residual at 1.5e-10 to 3e-9; accepted at the
+    # roundoff of its row terms, each cell polishes once (under a fixed
+    # 1e-10 every cell here made 15 failed attempts)
+    g = af.build_grid(3, 8193, 20.0)
+    newton = af.scalar._newton
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(af.scalar, "_newton", spy)
+    rho = [0.0, 0.1397, 0.7404, 2.2421, 20.0]
+    for l in range(4):
+        calls.clear()
+        af.scalar._annulus_cont(g, rho[l], rho[l + 1], origin=(l == 0))
+        assert len(calls) == 1, (l, len(calls))
 
 
 def test_annulus_rejects_bad_interval(grid_h2):
