@@ -12,7 +12,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,15 +56,10 @@ class ExperimentConfig:
         if self.h < 1:
             raise ConfigError("h must be at least 1")
         self.sigma = tuple(int(s) for s in self.sigma)
-        sched = tuple(float(b) for b in self.beta_schedule)
-        if not sched or any(b <= 0 for b in sched):
-            raise ConfigError("beta_schedule must be positive")
-        if any(b2 <= b1 for b1, b2 in zip(sched, sched[1:])):
-            raise ConfigError("beta_schedule must be strictly increasing")
-        self.beta_schedule = sched
-        for name in ("epsilon", "outer_tol", "newton_tol", "tol_nehari"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        # SolverConfig checks the schedule and the solver tolerances
+        self.beta_schedule = self.solver_config().beta_schedule
+        if self.tol_nehari <= 0:
+            raise ConfigError("tol_nehari must be positive")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 
@@ -289,13 +284,9 @@ def cmd_solve(args) -> int:
             config=solver_cfg, target=profile,
         )
     else:
-        stage_cfg = SolverConfig(
-            beta_schedule=(beta,),
-            epsilon=config.epsilon,
-            outer_tol=config.outer_tol,
-            newton_tol=config.newton_tol,
+        records = continuation(
+            profile, assignment, replace(solver_cfg, beta_schedule=(beta,))
         )
-        records = continuation(profile, assignment, stage_cfg)
         if not records:
             raise SolveError(f"no converged state at coupling {beta:g}")
         record = records[0]

@@ -123,7 +123,9 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
     and a clean decay below the floor min(1e-5, amplitude/100) with |w'|
     equally small.  Past that floor the growing mode dominates any
     numerical trajectory, so the tail is continued with the known e^{-r}
-    rate instead of being integrated.
+    rate instead of being integrated.  Sign changes are counted as the
+    integrator's zero crossings of w: node samples would miss zeros closer
+    together than dr.
     """
     if not amplitude > 0:
         raise ConfigError("amplitude must be positive")
@@ -140,7 +142,10 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
     decay.terminal = True
     decay.direction = -1
 
-    sol = _integrate(grid, amplitude, events=(blow, decay))
+    def zero(t, y):
+        return y[0]
+
+    sol = _integrate(grid, amplitude, events=(blow, decay, zero))
     if sol.status == -1:
         raise StepFailure(sol.message)
     n = grid.n_points
@@ -170,10 +175,9 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
             behavior = DECAYED
         elif aw[-1] > 1e3:
             behavior = BLEW_UP
-    flips = count_sign_changes(vals)
     return ShotResult(
         initial_amplitude=float(amplitude),
-        sign_changes=flips,
+        sign_changes=len(sol.t_events[2]),
         terminal_behavior=behavior,
         trajectory=RadialField(grid, vals),
     )
@@ -383,19 +387,22 @@ def bump_constants(profile: NodalProfile):
 
 
 def annulus_ground_state(grid: RadialGrid, r_lo: float, r_hi: float,
-                         u_init=None, pgd_iters=200, dec_tol=1e-12):
+                         u_init=None):
     """Nonnegative energy minimizer on the annulus r_lo < r < r_hi.
 
     The radii are genuinely continuous: boundary nodes sit between grid
     nodes and enter through partial-interval flux and quadrature terms, so
     the reported energy varies smoothly with (r_lo, r_hi).  r_lo = 0 means
-    the center ball (even-symmetry condition on the axis).  Returns
-    (field embedded on the full grid, energy).
+    the center ball (even-symmetry condition on the axis).  u_init, a
+    field on the full grid, replaces the built-in seed.  Every cell solve
+    has the same budget: preconditioned descent of at most 600 steps that
+    stops once a step gains less than 1e-12, with Newton polishes on the
+    way.  Returns (field embedded on the full grid, energy).
     """
     if not 0 <= r_lo <= r_hi <= grid.r_max + 1e-12:
         raise ConfigError(f"bad annulus [{r_lo}, {r_hi}]")
     out, J, _ = _annulus_cont(grid, r_lo, r_hi, origin=(r_lo == 0.0),
-                              u_init=u_init, pgd_iters=pgd_iters, dec_tol=dec_tol)
+                              u_init=u_init)
     if out is None:
         raise EmptyAnnulus(
             f"annulus ({r_lo:.4g}, {r_hi:.4g}) has too few interior nodes"
@@ -403,8 +410,7 @@ def annulus_ground_state(grid: RadialGrid, r_lo: float, r_hi: float,
     return out, float(J)
 
 
-def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
-                  pgd_iters=200, dec_tol=1e-12):
+def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None):
     """Annulus ground state with continuous boundary radii a < b.
 
     Unknowns are grid nodes strictly inside (a, b); the boundary sits
@@ -532,7 +538,7 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
                     Jp = Jn
                     break
                 t *= 0.5
-            if not ok or dec < dec_tol:
+            if not ok or dec < 1e-12:
                 break
         return u, Jp
 
@@ -558,13 +564,11 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None,
         return bool(np.all(F < np.maximum(1e-10, 4.0 * EPS * rows)))
 
     out = np.zeros(n)
-    # descent in chunks with early polish attempts; a polish is accepted
-    # only when it lands in the basin the descent is tracking
-    chunk = min(40, pgd_iters)
-    spent = 0
-    while spent < 3 * pgd_iters:
-        u, Jp = pgd(u, Jp, chunk)
-        spent += chunk
+    # descent in chunks of 40 steps, 600 at most, with early polish
+    # attempts; a polish is accepted only when it lands in the basin the
+    # descent is tracking
+    for _ in range(15):
+        u, Jp = pgd(u, Jp, 40)
         u2, resid, _ = _newton(low, diw, upw, u, 1e-12, 40)
         if u2.min() > -1e-9 and settled(u2, resid):
             u2 = np.maximum(u2, 0.0)
@@ -593,8 +597,7 @@ def _partition_seed(grid: RadialGrid, h: int):
     def cellE(jlo, jhi, inc):
         key = (jlo, jhi, inc)
         if key not in cache:
-            cache[key] = _annulus_cont(grid, r[jlo], r[jhi], origin=inc,
-                                       pgd_iters=120, dec_tol=1e-11)[1]
+            cache[key] = _annulus_cont(grid, r[jlo], r[jhi], origin=inc)[1]
         return cache[key]
 
     if h == 1:
@@ -664,7 +667,7 @@ def _stationary_radii(grid: RadialGrid, rho):
             s = a + (r - x[l]) * (b - a) / (x[l + 1] - x[l])
             u = np.interp(s, r, warm[l])
         return _annulus_cont(grid, x[l], x[l + 1], origin=(l == 0),
-                             u_init=u, pgd_iters=160)
+                             u_init=u)
 
     def cells(x):
         sols = [cell(l, x) for l in range(h)]

@@ -10,7 +10,7 @@ the walk follows the branch.  Each walk step predicts along the branch
 tangent and corrects with full-step Newton, rejecting the step as soon
 as the simplified-Newton contraction shows it left the Newton basin
 (P. Deuflhard, Newton Methods for Nonlinear Problems, 2004).  Every stage
-then descends and refines its own walked state.
+then refines its own walked state.
 """
 from __future__ import annotations
 
@@ -43,6 +43,8 @@ from .nehari import MaximizerReport, PulseEnsemble, coupled_energy, maximize_phi
 from .scalar import NodalProfile
 
 LAMBDA_UNIT_TOL = 1e-6
+# coupling of the anchor solve, where the segregated guess is nearly exact
+ANCHOR_BETA = 1e4
 
 
 @dataclass
@@ -52,7 +54,6 @@ class SolverConfig:
     outer_tol: float = 1e-7
     newton_tol: float = 1e-10
     max_iters: int = 150
-    anchor_beta: float = 1e4
 
     def __post_init__(self) -> None:
         sched = tuple(float(b) for b in self.beta_schedule)
@@ -482,7 +483,7 @@ def _correct(grid: RadialGrid, beta: float, U: np.ndarray,
 
 
 def _walk_beta(grid: RadialGrid, U, b_from: float, targets,
-               tol: float = 1e-10, max_solves: int = 400):
+               tol: float = 1e-10):
     """Walk the branch from a converged state at b_from through targets.
 
     The targets are couplings in walking order, all on one side of
@@ -491,8 +492,8 @@ def _walk_beta(grid: RadialGrid, U, b_from: float, targets,
     trial and shrinks by 0.35 after a rejected one, and every segment
     between targets starts at 0.25 decade or less.  Returns the converged
     states at the targets reached, in order, and the coupling reached: the
-    walk stops short when the step falls under 1e-4 decade or after
-    max_solves corrector calls.
+    walk stops short when the step falls under 1e-4 decade or after 400
+    corrector calls.
     """
     states = []
     pos = np.log10(b_from)
@@ -513,7 +514,7 @@ def _walk_beta(grid: RadialGrid, U, b_from: float, targets,
                 step *= 1.7
             else:
                 step *= 0.35
-                if abs(step) < 1e-4 or solves >= max_solves:
+                if abs(step) < 1e-4 or solves >= 400:
                     return states, 10.0**pos
         states.append(U)
     return states, 10.0**pos
@@ -527,7 +528,7 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     where the segregated guess is nearly exact, and walked once: down
     through the schedule points at or below the anchor, then up through
     those above it.  Each stage starts from its own walked state: its
-    pulses are cut at the re-located bump centers, descended and refined.
+    pulses are cut at the re-located bump centers and refined.
     A failed stage, including one beyond a walk stall, is reported as a
     `StageFailure` warning naming its cause and is absent from the
     records; the other stages are unaffected.  A failed anchor solve
@@ -536,7 +537,7 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     grid = profile.grid
     guess = initial_guess(profile, assignment)
     schedule = config.beta_schedule
-    anchor = max(config.anchor_beta, schedule[0])
+    anchor = max(ANCHOR_BETA, schedule[0])
     U, res, _ = coupled_newton(
         grid, anchor, guess.components(), tol=config.newton_tol, maxit=120
     )
@@ -567,8 +568,7 @@ def continuation(profile: NodalProfile, assignment: Assignment,
                 grid, assignment,
                 split_components(grid, assignment, states[beta], centers),
             )
-            ens = minimize_m_beta(beta, state, config, target=profile)
-            records.append(newton_refine(beta, ens, config=config, target=profile))
+            records.append(newton_refine(beta, state, config=config, target=profile))
         except SolveError as exc:
             warnings.warn(
                 f"stage beta={beta:g} failed: {exc}",

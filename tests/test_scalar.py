@@ -54,6 +54,17 @@ def test_shoot_bracket_flips_sign_count():
     assert above.sign_changes >= 1
 
 
+@pytest.mark.parametrize("a", [338.0, 540.0, 865.0])
+def test_shoot_counts_zeros_closer_than_the_spacing(a):
+    # on the line the energy is conserved, so a large amplitude oscillates
+    # with zeros far closer than dr; node samples alias the count (239, 75
+    # and 188 here), the integrator's zero crossings do not
+    g = af.build_grid(1, 257, 3.0)
+    want = af.scalar._stopped_count(g, a, 10**9, rtol=1e-12)
+    assert want > 256
+    assert af.shoot(g, a).sign_changes == want
+
+
 def test_count_sign_changes_deadband():
     vals = np.array([1.0, 1e-14, -1e-14, -1.0, 1e-13, 1.0])
     assert af.count_sign_changes(vals, deadband=1e-12) == 2

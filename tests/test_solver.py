@@ -207,12 +207,12 @@ def test_continuation_records_stage_failure(profile_h2, assignment_h2,
                                             monkeypatch):
     # a failed stage must surface as a warning while the other stages
     # still run, each from its own walked state
-    real = af.minimize_m_beta
-    def flaky(beta, state, config, target=None):
+    real = af.newton_refine
+    def flaky(beta, ensemble, config=None, target=None):
         if beta == 10.0:
             raise af.NonConvergence("forced stage failure")
-        return real(beta, state, config, target=target)
-    monkeypatch.setattr("artifact.solver.minimize_m_beta", flaky)
+        return real(beta, ensemble, config=config, target=target)
+    monkeypatch.setattr("artifact.solver.newton_refine", flaky)
     cfg = af.SolverConfig(beta_schedule=(1.0, 10.0, 100.0))
     with pytest.warns(af.StageFailure, match="beta=10"):
         recs = af.continuation(profile_h2, assignment_h2, cfg)
@@ -223,13 +223,17 @@ def test_continuation_records_stage_failure(profile_h2, assignment_h2,
 def test_continuation_makes_one_newton_call_of_its_own(profile_h2, assignment_h2,
                                                        monkeypatch):
     # the anchor is the only damped Newton solve of the driver; the walk
-    # runs on its own corrector and every other call is a refinement
+    # runs on its own corrector, every other call is a refinement, and a
+    # stage refines its walked state without a descent
     real = af.coupled_newton
     callers = []
     def spy(*args, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(*args, **kwargs)
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a continuation stage ran the descent")
     monkeypatch.setattr("artifact.solver.coupled_newton", spy)
+    monkeypatch.setattr("artifact.solver.minimize_m_beta", no_descent)
     cfg = af.SolverConfig(beta_schedule=(1.0, 10.0, 100.0))
     recs = af.continuation(profile_h2, assignment_h2, cfg)
     assert len(recs) == 3
