@@ -40,7 +40,6 @@ class ExperimentConfig:
     sigma: tuple = (1, 2, 1, 3, 2)
     beta_schedule: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
     epsilon: float = 0.5
-    outer_tol: float = 1e-7
     newton_tol: float = 1e-10
     tol_nehari: float = 1e-8
     seed: int = 0
@@ -72,7 +71,6 @@ class ExperimentConfig:
             "sigma": list(self.sigma),
             "beta_schedule": list(self.beta_schedule),
             "epsilon": self.epsilon,
-            "outer_tol": self.outer_tol,
             "newton_tol": self.newton_tol,
             "tol_nehari": self.tol_nehari,
             "seed": self.seed,
@@ -83,17 +81,18 @@ class ExperimentConfig:
         return SolverConfig(
             beta_schedule=self.beta_schedule,
             epsilon=self.epsilon,
-            outer_tol=self.outer_tol,
             newton_tol=self.newton_tol,
         )
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    # run directories written while the stages still descended carry the
+    # descent's stopping tolerance, which no run reads any more
+    kwargs = {k: v for k, v in data.items() if k != "outer_tol"}
     known = {f.name for f in fields(ExperimentConfig)}
-    bad = set(data) - known
+    bad = set(kwargs) - known
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
-    kwargs = dict(data)
     for key in ("sigma", "beta_schedule"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
@@ -141,7 +140,6 @@ def build_cli_config(args) -> ExperimentConfig:
         "r_max": args.r_max,
         "h": args.h,
         "epsilon": args.epsilon,
-        "outer_tol": args.outer_tol,
         "newton_tol": args.newton_tol,
         "tol_nehari": args.tol_nehari,
         "seed": args.seed,
@@ -401,7 +399,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--h", type=int, help="number of pulses")
     parser.add_argument("--sigma", help="component assignment, e.g. 1,2,1,3,2")
     parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--outer-tol", type=float, dest="outer_tol")
     parser.add_argument("--newton-tol", type=float, dest="newton_tol")
     parser.add_argument("--tol-nehari", type=float, dest="tol_nehari")
     parser.add_argument("--seed", type=int)

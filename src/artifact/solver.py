@@ -302,6 +302,8 @@ def minimize_m_beta(beta: float, start: PulseEnsemble, config: SolverConfig,
     components, weighted per pulse by its scaling (the scaling maximizer
     is critical, so no scaling derivative enters); Armijo backtracking
     with positivity clipping, re-maximization each accepted step.
+    No continuation stage calls it: a walked stage state is already
+    Newton-converged, and the descent takes no step from it.
     """
     grid = start.grid
     assignment = start.assignment

@@ -205,6 +205,16 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "frobnicate" in json.loads(err.strip())["message"]
 
 
+def test_legacy_outer_tol_key_is_dropped(tmp_path):
+    # config.json of runs whose stages still descended carries outer_tol
+    cfg = cli.ExperimentConfig(output_dir=str(tmp_path))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(cfg.to_dict(), outer_tol=1e-7)))
+    assert cli.load_config(path) == cfg
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["scalar", "--outer-tol", "1e-7"])
+
+
 def test_run_dir_never_clobbers(tmp_path):
     cfg = cli.ExperimentConfig(output_dir=str(tmp_path))
     first = cli.make_run_dir(cfg, "solve", label="same")
