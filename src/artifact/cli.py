@@ -46,6 +46,9 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self) -> None:
+        for name in ("dimension", "n_points", "h"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigError(f"{name} must be an integer")
         if self.dimension not in (1, 2, 3):
             raise ConfigError("dimension must be 1, 2 or 3")
         if self.n_points < 16:
@@ -54,7 +57,9 @@ class ExperimentConfig:
             raise ConfigError("r_max must be positive")
         if self.h < 1:
             raise ConfigError("h must be at least 1")
-        self.sigma = tuple(int(s) for s in self.sigma)
+        if not all(isinstance(s, int) for s in self.sigma):
+            raise ConfigError(f"sigma entries must be integers, got {self.sigma}")
+        self.sigma = tuple(self.sigma)
         # SolverConfig checks the schedule and the solver tolerances
         self.beta_schedule = self.solver_config().beta_schedule
         if self.tol_nehari <= 0:
@@ -93,10 +98,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     bad = set(kwargs) - known
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
-    for key in ("sigma", "beta_schedule"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return ExperimentConfig(**kwargs)
+    try:
+        for key in ("sigma", "beta_schedule"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+        return ExperimentConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config value of the wrong type: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -184,7 +192,11 @@ def _read_columns(path: str):
 
 
 def _beta_tag(beta: float) -> str:
-    return "%g" % beta
+    """File-name tag of a coupling: "%g" where it reads back exactly,
+    otherwise the shortest exact form, so two couplings never share a
+    tag and `report` recovers each one."""
+    tag = "%g" % beta
+    return tag if float(tag) == beta else repr(float(beta))
 
 
 def _profile_paths(run_dir: str):

@@ -193,6 +193,40 @@ def factor_tridiag(lo, di, up):
     return solve
 
 
+def newton(residual, factor, u, tol, maxit, history=None):
+    """Damped Newton for residual(u) = 0; returns (u, residual, steps).
+
+    factor(u) returns solve(F), the Jacobian at u applied inversely.  A
+    step u - t solve(F) halves t, up to 50 times, until the max-norm
+    residual drops by the Armijo factor 1 - t/4 or falls under tol
+    (P. Deuflhard, Newton Methods for Nonlinear Problems, 2004); a step
+    that finds neither ends the iteration.  ``history`` collects the
+    residual of u and of every accepted step.
+    """
+    F = residual(u)
+    nf = float(np.max(np.abs(F)))
+    if history is not None:
+        history.append(nf)
+    for it in range(maxit):
+        if nf < tol:
+            return u, nf, it
+        d = factor(u)(F)
+        t = 1.0
+        for _ in range(50):
+            un = u - t * d
+            Fn = residual(un)
+            nn = float(np.max(np.abs(Fn)))
+            if nn < (1.0 - 0.25 * t) * nf or nn < tol:
+                break
+            t *= 0.5
+        else:
+            return u, nf, it
+        u, F, nf = un, Fn, nn
+        if history is not None:
+            history.append(nf)
+    return u, nf, maxit
+
+
 def apply_schrodinger(grid: RadialGrid, u) -> np.ndarray:
     """(-Lap + 1) u with the Dirichlet row at r_max left as the identity."""
     v = _values(u)

@@ -5,22 +5,24 @@ Two independent routes to the same object:
 * ``find_nodal_solution``: shooting with amplitude bisection on the number
   of sign changes, each bisection shot stopped where its count becomes
   final (``_stopped_count``); then one shot at the final amplitude sampled
-  on the nodes, a damped Newton polish of the discrete boundary value
-  problem, and a per-annulus resolve of each nonnegative bump.
+  on the nodes and a damped Newton polish of the discrete boundary value
+  problem, whose zeros are the interface radii.
 * ``compute_c_infinity``: direct minimization of the summed bump energies
   over the interface radii (dynamic-programming seed on a coarse radius
   set, then Newton on the exact radius derivatives of the cell energies in
   the continuous radii).
 
-Both report the partition energy c = sum of per-bump energies and the
-interface radii; agreement between them is the main cross-check of the
+Both end in one finisher, ``_split_profile``: each bump is polished on the
+grid nodes between the interfaces nearest the radii, from the polished
+field (shooting) or from the last cell solve (partition).  Both report
+the partition energy c = sum of per-bump energies and the interface
+radii; agreement between them is the main cross-check of the
 discretization.
 
-One annulus solver, ``_annulus_cont``, serves every cell: the seed, the
-Newton walk and the final split (radii on grid nodes make it the grid
-problem on the cell's interior nodes).  One damped Newton, ``_newton``,
-polishes every boundary value problem: the global field, each bump and
-each cell, always on a window of nodes with zero values outside.
+One annulus solver, ``_annulus_cont``, serves every cell of the seed and
+the radius Newton.  One damped Newton, ``grid.newton``, polishes every
+boundary value problem; ``_newton`` applies it to a window of nodes with
+zero values outside: the global field, each bump and each cell.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ from .grid import (
     factor_tridiag,
     h1_norm_sq,
     lp_integral,
+    newton,
     solve_tridiag,
 )
 
@@ -96,19 +99,6 @@ def _ode_rhs(dim):
     return f
 
 
-def _integrate(grid: RadialGrid, amplitude: float, events=None):
-    return solve_ivp(
-        _ode_rhs(grid.dimension),
-        (0.0, grid.r_max),
-        [amplitude, 0.0],
-        method="DOP853",
-        t_eval=grid.nodes,
-        rtol=1e-12,
-        atol=1e-14,
-        events=events,
-    )
-
-
 def count_sign_changes(values: np.ndarray, deadband: float = SIGN_DEADBAND) -> int:
     s = np.sign(values[np.abs(values) >= deadband])
     if len(s) < 2:
@@ -145,7 +135,16 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
     def zero(t, y):
         return y[0]
 
-    sol = _integrate(grid, amplitude, events=(blow, decay, zero))
+    sol = solve_ivp(
+        _ode_rhs(grid.dimension),
+        (0.0, grid.r_max),
+        [amplitude, 0.0],
+        method="DOP853",
+        t_eval=grid.nodes,
+        rtol=1e-12,
+        atol=1e-14,
+        events=(blow, decay, zero),
+    )
     if sol.status == -1:
         raise StepFailure(sol.message)
     n = grid.n_points
@@ -253,51 +252,28 @@ def _bisect_amplitude(grid: RadialGrid, h: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _clean_tail(r, wv, h):
-    """Trim the post-decay garbage of a shot past its (h-1)-th flip."""
-    aw = np.abs(wv)
-    s = np.sign(wv)
-    flips = np.where(s[1:] * s[:-1] < 0)[0][: h - 1]
-    start = flips[-1] + 1 if len(flips) else 0
-    tail = aw[start:]
-    cut = len(wv)
-    floor_thresh = 1e-6 * aw.max()
-    below = np.where(tail < floor_thresh)[0]
-    if len(below):
-        cut = start + below[0]
-    out = wv.copy()
-    if cut < len(wv):
-        amp = wv[cut - 1]
-        out[cut:] = amp * np.exp(-(r[cut:] - r[cut - 1]))
-    out[-1] = 0.0
-    return out
-
-
 def _newton(lo, di, up, u, tol, maxit):
-    """Damped Newton for (lo, di, up) u - u^3 = 0 on a window of nodes.
+    """``grid.newton`` for (lo, di, up) u - u^3 = 0 on a window of nodes.
 
     The bands are the window's rows of a -Lap+1 stencil whose field is
-    zero outside the window.  Each step halves until the max-norm residual
-    drops by the Armijo factor.  Returns (u, residual, steps taken).
+    zero outside the window.  Returns (u, residual, steps taken).
     """
-    F = apply_tridiag(lo, di, up, u) - u**3
-    nf = np.max(np.abs(F))
-    for it in range(maxit):
-        if nf < tol:
-            return u, float(nf), it
-        d = solve_tridiag(lo, di - 3.0 * u**2, up, F)
-        t = 1.0
-        for _ in range(40):
-            un = u - t * d
-            Fn = apply_tridiag(lo, di, up, un) - un**3
-            nn = np.max(np.abs(Fn))
-            if nn < (1.0 - 0.25 * t) * nf or nn < tol:
-                break
-            t *= 0.5
-        else:
-            return u, float(nf), it
-        u, F, nf = un, Fn, nn
-    return u, float(nf), maxit
+    return newton(
+        lambda v: apply_tridiag(lo, di, up, v) - v**3,
+        lambda v: lambda F: solve_tridiag(lo, di - 3.0 * v**2, up, F),
+        u, tol, maxit,
+    )
+
+
+def _polish(grid: RadialGrid, j0: int, j1: int, u):
+    """Newton on the nodes j0..j1-1 from u, zero at every other node;
+    returns (field on the full grid, residual)."""
+    out = np.zeros(grid.n_points)
+    out[j0:j1], resid, _ = _newton(
+        grid.op_lower[j0 : j1 - 1], grid.op_diag[j0:j1],
+        grid.op_upper[j0 : j1 - 1], u[j0:j1], 1e-12, 60,
+    )
+    return out, resid
 
 
 def nehari_project_scalar(grid: RadialGrid, u) -> np.ndarray:
@@ -316,46 +292,24 @@ def free_energy(grid: RadialGrid, u) -> float:
     return 0.5 * h1_norm_sq(grid, u) - 0.25 * lp_integral(grid, u, 4)
 
 
-def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> NodalProfile:
-    """Shooting route: the h-bump sign-changing solution and its bump split."""
-    if h < 1:
-        raise ConfigError(f"h must be at least 1, got {h}")
-    r, dr = grid.nodes, grid.dr
-    n = grid.n_points
-    a = _bisect_amplitude(grid, h)
-    sol = _integrate(grid, a)
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-    u0 = _clean_tail(r, sol.y[0], h)
+def _split_profile(grid: RadialGrid, h: int, cuts, starts, tol_nehari: float,
+                   **extra) -> NodalProfile:
+    """The profile whose bumps solve the grid problem between the cuts.
 
-    def polish(j0, j1, u):
-        # Newton on nodes j0..j1-1, zero at every other node
-        out = np.zeros(n)
-        out[j0:j1], resid, _ = _newton(
-            grid.op_lower[j0 : j1 - 1], grid.op_diag[j0:j1],
-            grid.op_upper[j0 : j1 - 1], u[j0:j1], 1e-12, 60,
-        )
-        return out, resid
-
-    W, resid = polish(0, n - 1, u0)
-    if resid > 1e-8:
-        raise NewtonDivergence(f"global polish stalled at residual {resid:.2e}")
-    flips = [j for j in range(n - 2) if W[j] * W[j + 1] < 0]
-    if len(flips) != h - 1:
-        raise BracketingFailure(
-            f"polished field has {len(flips)} interior zeros, wanted {h - 1}"
-        )
-    zeros = [r[j] - W[j] * dr / (W[j + 1] - W[j]) for j in flips]
-    cuts = [int(round(z / dr)) for z in zeros]
-    bounds = [0] + cuts + [n - 1]
+    Bump l is polished from starts[l] on the nodes strictly between its
+    cuts (bump 0 keeps its axis node; the last stops before the Dirichlet
+    node at r_max) and clipped at zero.  Such a bump satisfies the
+    constraint under the global quadrature; one that misses it by more
+    than tol_nehari relative raises.  ``extra`` fills the other fields.
+    """
+    bounds = [0, *cuts, grid.n_points - 1]
     bumps = []
     for l in range(h):
-        # bump 0 keeps its axis node; the others sit strictly inside
         j0 = 0 if l == 0 else bounds[l] + 1
-        bl, res_b = polish(j0, bounds[l + 1], np.abs(W))
-        if res_b > 1e-8:
-            raise NewtonDivergence(f"bump {l + 1} resolve stalled at {res_b:.2e}")
-        bumps.append(np.maximum(bl, 0.0))
+        b, resid = _polish(grid, j0, bounds[l + 1], starts[l])
+        if resid > 1e-8:
+            raise NewtonDivergence(f"bump {l + 1} resolve stalled at {resid:.2e}")
+        bumps.append(np.maximum(b, 0.0))
     energies = [free_energy(grid, b) for b in bumps]
     for l, b in enumerate(bumps):
         defect = abs(h1_norm_sq(grid, b) - lp_integral(grid, b, 4))
@@ -363,16 +317,34 @@ def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> N
             raise NewtonDivergence(
                 f"bump {l + 1} misses the constraint by {defect:.2e}"
             )
-    return NodalProfile(
-        grid=grid,
-        h=h,
-        bumps=bumps,
-        node_radii=tuple(float(z) for z in zeros),
-        energies=energies,
-        c_value=float(sum(energies)),
-        solution=W,
-        residual=float(resid),
-        amplitude=float(a),
+    return NodalProfile(grid=grid, h=h, bumps=bumps, energies=energies,
+                        c_value=float(sum(energies)), **extra)
+
+
+def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> NodalProfile:
+    """Shooting route: the h-bump sign-changing solution and its bump split.
+
+    The shot at the bisected amplitude, its decayed tail continued with
+    e^{-r}, is polished on every node but the Dirichlet one; the zeros of
+    the polished field W are the radii, and |W| starts every bump.
+    """
+    if h < 1:
+        raise ConfigError(f"h must be at least 1, got {h}")
+    r, dr = grid.nodes, grid.dr
+    a = _bisect_amplitude(grid, h)
+    W, resid = _polish(grid, 0, grid.n_points - 1, shoot(grid, a).trajectory.values)
+    if resid > 1e-8:
+        raise NewtonDivergence(f"global polish stalled at residual {resid:.2e}")
+    flips = [j for j in range(grid.n_points - 2) if W[j] * W[j + 1] < 0]
+    if len(flips) != h - 1:
+        raise BracketingFailure(
+            f"polished field has {len(flips)} interior zeros, wanted {h - 1}"
+        )
+    zeros = [r[j] - W[j] * dr / (W[j + 1] - W[j]) for j in flips]
+    return _split_profile(
+        grid, h, [int(round(z / dr)) for z in zeros], [np.abs(W)] * h,
+        tol_nehari, node_radii=tuple(float(z) for z in zeros), solution=W,
+        residual=float(resid), amplitude=float(a),
     )
 
 
@@ -650,8 +622,9 @@ def _stationary_radii(grid: RadialGrid, rho):
     solve returns both radius derivatives.  A cell couples only its two
     radii, so the Hessian is tridiagonal; it comes from one-sided
     differences of each cell's derivatives, and is kept while full steps
-    stay under dr.  A step halves until E does not rise; the radii are
-    returned once no radius moves more than 1e-3 dr.
+    stay under dr.  A step halves until E does not rise; once no radius
+    moves more than 1e-3 dr, returns the radii and the fields of the cell
+    solves at them.
     """
     h = len(rho) - 1
     dr, r = grid.dr, grid.nodes
@@ -712,7 +685,7 @@ def _stationary_radii(grid: RadialGrid, rho):
         if step <= 1e-3 * dr:
             break
         stale = t < 1.0 or step > dr
-    return rho
+    return rho, [u for u, _, _ in sols]
 
 
 def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> NodalProfile:
@@ -720,44 +693,21 @@ def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> No
 
     Newton in the continuous interface radii from the integer seed.  At
     the minimum dE/drho_i = 0 at every interface, the discrete form of
-    the equal-flux (C^1) matching of the nodal solution.
+    the equal-flux (C^1) matching of the nodal solution.  The final bumps
+    are polished from the fields of the last cell solves (for h = 1, one
+    cold solve of the ball) on the nodes between the nodes nearest the
+    radii: there they solve the grid problem, so they satisfy the
+    constraint under the global quadrature, which off-node radii would
+    not (their cut-cell terms are absent from the grid).
     """
     if h < 1:
         raise ConfigError(f"h must be at least 1, got {h}")
-    r, dr = grid.nodes, grid.dr
-    n = grid.n_points
-    rho = r[_partition_seed(grid, h)]
+    rho = grid.nodes[_partition_seed(grid, h)]
     if h > 1:
-        rho = _stationary_radii(grid, rho)
-
-    # final bump fields are solved on cells whose radii are the grid nodes
-    # nearest the optimal radii: such a cell is the grid problem on its
-    # interior nodes, so the stored bumps satisfy the constraint under the
-    # global quadrature (off-node radii add cut-cell terms the grid lacks)
-    jcuts = [int(round(x / dr)) for x in rho[1:-1]]
-    jbounds = [0] + jcuts + [n - 1]
-    bumps, energies = [], []
-    for l in range(h):
-        ub, _, _ = _annulus_cont(grid, r[jbounds[l]], r[jbounds[l + 1]],
-                              origin=(l == 0))
-        if ub is None:
-            raise EmptyAnnulus(f"collapsed cell {l + 1} in the final split")
-        bumps.append(ub)
-        energies.append(free_energy(grid, ub))
-    for l, b in enumerate(bumps):
-        defect = abs(h1_norm_sq(grid, b) - lp_integral(grid, b, 4))
-        if defect > tol_nehari * h1_norm_sq(grid, b):
-            raise NewtonDivergence(
-                f"bump {l + 1} misses the constraint by {defect:.2e}"
-            )
-    return NodalProfile(
-        grid=grid,
-        h=h,
-        bumps=bumps,
-        node_radii=tuple(float(x) for x in rho[1:-1]),
-        energies=energies,
-        c_value=float(sum(energies)),
-        solution=None,
-        residual=np.nan,
-        amplitude=np.nan,
+        rho, starts = _stationary_radii(grid, rho)
+    else:
+        starts = [_annulus_cont(grid, rho[0], rho[1], origin=True)[0]]
+    return _split_profile(
+        grid, h, [int(round(x / grid.dr)) for x in rho[1:-1]], starts,
+        tol_nehari, node_radii=tuple(float(x) for x in rho[1:-1]),
     )

@@ -37,6 +37,7 @@ from .grid import (
     apply_tridiag,
     factor_tridiag,
     h1_norm_sq,
+    newton,
     solve_tridiag,
 )
 from .nehari import MaximizerReport, PulseEnsemble, coupled_energy, maximize_phi
@@ -259,38 +260,15 @@ def coupled_newton(grid: RadialGrid, beta: float, U: np.ndarray,
                    history: Optional[list] = None):
     """Damped banded Newton on the k-field system; returns (U, resid, iters).
 
-    Each step solves with `_jacobian_solver` and halves the step (Armijo,
-    up to 50 times) until the max residual falls.  It serves the anchor
-    solve of `continuation` and `newton_refine`, whose starting states lie
-    outside the full-step Newton basin; the beta-walk uses its own
-    corrector, `_correct`.
+    `grid.newton` on `residual_components`, each step solved with
+    `_jacobian_solver`, from a copy of U.  It serves the anchor solve of
+    `continuation` and `newton_refine`, whose starting states lie outside
+    the full-step Newton basin; the beta-walk uses its own corrector,
+    `_correct`.
     """
-    k, n = U.shape
-    U = U.copy()
-    F = residual_components(grid, beta, U)
-    nf = float(np.max(np.abs(F)))
-    if history is not None:
-        history.append(nf)
-    for it in range(maxit):
-        if nf < tol:
-            return U, nf, it
-        dU = _jacobian_solver(grid, beta, U)(-F)
-        t = 1.0
-        ok = False
-        for _ in range(50):
-            Un = U + t * dU
-            Fn = residual_components(grid, beta, Un)
-            nn = float(np.max(np.abs(Fn)))
-            if nn < (1 - 0.25 * t) * nf:
-                U, F, nf = Un, Fn, nn
-                ok = True
-                if history is not None:
-                    history.append(nf)
-                break
-            t *= 0.5
-        if not ok:
-            return U, nf, it
-    return U, nf, maxit
+    return newton(lambda V: residual_components(grid, beta, V),
+                  lambda V: _jacobian_solver(grid, beta, V),
+                  U.copy(), tol, maxit, history)
 
 
 def minimize_m_beta(beta: float, start: PulseEnsemble, config: SolverConfig,

@@ -215,6 +215,31 @@ def test_legacy_outer_tol_key_is_dropped(tmp_path):
         cli.build_parser().parse_args(["scalar", "--outer-tol", "1e-7"])
 
 
+@pytest.mark.parametrize("entry", [{"sigma": [1, 2.5, 1]}, {"sigma": ["x"]},
+                                   {"n_points": "4097"}, {"n_points": 257.5},
+                                   {"h": 2.5}, {"beta_schedule": ["x"]}])
+def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
+    # sigma [1, 2.5, 1] and n_points 257.5 used to run silently as
+    # (1, 2, 1) and 257; the others escaped main as a bare ValueError or
+    # TypeError, h = 2.5 only once the profile was computed
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(cli.ExperimentConfig().to_dict(), **entry)))
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(path)
+    rc, out, err = run_cli(["scalar", "--config", str(path), "--out", str(tmp_path)],
+                           capsys)
+    assert rc == 2 and json.loads(err.strip())["error"] == "config"
+
+
+def test_beta_tags_are_distinct_and_read_back_exactly():
+    # "%g" keeps six digits, so 1234567 and 1234568 shared one tag
+    betas = [0.0, 1.0, 2.5, 100.0, 1e4, 1e6, 1234567.0, 1234568.0, 0.1 + 0.2]
+    tags = [cli._beta_tag(b) for b in betas]
+    assert len(set(tags)) == len(betas)
+    assert [float(t) for t in tags] == betas
+    assert tags[:6] == ["0", "1", "2.5", "100", "10000", "1e+06"]
+
+
 def test_run_dir_never_clobbers(tmp_path):
     cfg = cli.ExperimentConfig(output_dir=str(tmp_path))
     first = cli.make_run_dir(cfg, "solve", label="same")

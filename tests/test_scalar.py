@@ -1,7 +1,5 @@
 """Shooting classification, nodal profiles, and the two routes to the
 segregated energy."""
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,21 +304,30 @@ def test_annulus_factors_its_preconditioner_once(monkeypatch):
     # the descent reuses one factorization of the cell's -Lap+1; only the
     # Newton polish, whose matrix changes every step, solves from scratch
     g = af.build_grid(2, 1025, 20.0)
-    factors, callers = [], []
+    newton = af.scalar._newton
+    factors, in_newton, depth = [], [], [0]
 
     def factor_spy(lo, di, up):
         factors.append(len(di))
         return factor_tridiag(lo, di, up)
 
     def solve_spy(lo, di, up, b):
-        callers.append(sys._getframe(1).f_code.co_name)
+        in_newton.append(depth[0] > 0)
         return solve_tridiag(lo, di, up, b)
+
+    def newton_spy(*args):
+        depth[0] += 1
+        try:
+            return newton(*args)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(af.scalar, "factor_tridiag", factor_spy)
     monkeypatch.setattr(af.scalar, "solve_tridiag", solve_spy)
+    monkeypatch.setattr(af.scalar, "_newton", newton_spy)
     af.annulus_ground_state(g, 2.61, 9.47)
     assert len(factors) == 1
-    assert callers and set(callers) == {"_newton"}
+    assert in_newton and all(in_newton)
 
 
 def test_fine_cells_accept_their_first_polish(monkeypatch):
@@ -405,10 +412,34 @@ def test_partition_radii_are_stationary_within_a_solve_budget(monkeypatch):
 
     monkeypatch.setattr(af.scalar, "_annulus_cont", spy)
     profile = af.compute_c_infinity(g, 3)
-    # 136 cell solves measured; the golden-section search made 744
+    # 133 cell solves measured; the golden-section search made 744
     assert len(calls) <= 200
     rho = [0.0, *profile.node_radii, g.r_max]
     slopes = np.array([solve(g, rho[l], rho[l + 1], origin=(l == 0))[2]
                        for l in range(3)])
     grad = slopes[:-1, 1] + slopes[1:, 0]
     assert np.max(np.abs(grad)) * g.dr < 1e-8, grad
+
+
+def test_partition_route_makes_no_cell_solve_after_the_radius_newton(monkeypatch):
+    # the final bumps are polished from the fields of the radius Newton's
+    # last cell solves; re-solving every final cell cold made 3 more here
+    g = af.build_grid(2, 2049, 30.0)
+    radii, cell = af.scalar._stationary_radii, af.scalar._annulus_cont
+    events = []
+
+    def radii_spy(*args):
+        out = radii(*args)
+        events.append("radii")
+        return out
+
+    def cell_spy(*args, **kwargs):
+        events.append("cell")
+        return cell(*args, **kwargs)
+
+    monkeypatch.setattr(af.scalar, "_stationary_radii", radii_spy)
+    monkeypatch.setattr(af.scalar, "_annulus_cont", cell_spy)
+    profile = af.compute_c_infinity(g, 3)
+    assert events.count("radii") == 1 and "cell" in events
+    assert events[-1] == "radii", events[events.index("radii"):]
+    assert len(profile.node_radii) == 2
