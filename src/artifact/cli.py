@@ -39,10 +39,8 @@ class ExperimentConfig:
     h: int = 5
     sigma: tuple = (1, 2, 1, 3, 2)
     beta_schedule: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
-    epsilon: float = 0.5
     newton_tol: float = 1e-10
     tol_nehari: float = 1e-8
-    seed: int = 0
     output_dir: str = "runs"
 
     def __post_init__(self) -> None:
@@ -64,8 +62,6 @@ class ExperimentConfig:
         self.beta_schedule = self.solver_config().beta_schedule
         if self.tol_nehari <= 0:
             raise ConfigError("tol_nehari must be positive")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
 
     def to_dict(self) -> dict:
         return {
@@ -75,25 +71,24 @@ class ExperimentConfig:
             "h": self.h,
             "sigma": list(self.sigma),
             "beta_schedule": list(self.beta_schedule),
-            "epsilon": self.epsilon,
             "newton_tol": self.newton_tol,
             "tol_nehari": self.tol_nehari,
-            "seed": self.seed,
             "output_dir": self.output_dir,
         }
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            beta_schedule=self.beta_schedule,
-            epsilon=self.epsilon,
-            newton_tol=self.newton_tol,
-        )
+        return SolverConfig(beta_schedule=self.beta_schedule,
+                            newton_tol=self.newton_tol)
+
+
+# keys of older run directories that no run reads any more: the descent's
+# stopping tolerance, the trust distance epsilon, and the seed of the
+# random stationarity probes of `report`
+LEGACY_KEYS = ("outer_tol", "epsilon", "seed")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    # run directories written while the stages still descended carry the
-    # descent's stopping tolerance, which no run reads any more
-    kwargs = {k: v for k, v in data.items() if k != "outer_tol"}
+    kwargs = {k: v for k, v in data.items() if k not in LEGACY_KEYS}
     known = {f.name for f in fields(ExperimentConfig)}
     bad = set(kwargs) - known
     if bad:
@@ -147,10 +142,8 @@ def build_cli_config(args) -> ExperimentConfig:
         "n_points": args.n_points,
         "r_max": args.r_max,
         "h": args.h,
-        "epsilon": args.epsilon,
         "newton_tol": args.newton_tol,
         "tol_nehari": args.tol_nehari,
-        "seed": args.seed,
         "output_dir": args.out,
     }
     if args.sigma is not None:
@@ -234,6 +227,9 @@ def compute_profile(config: ExperimentConfig) -> NodalProfile:
 
 def write_stage(run_dir: str, config: ExperimentConfig, profile: NodalProfile,
                 record) -> None:
+    """Write a stage's fields, pulses and record with its diagnostics.
+    `config` is not read; it stays in the signature that
+    `perfbench/workloads.py` calls."""
     tag = _beta_tag(record.beta)
     grid = record.ensemble.grid
     U = record.ensemble.components(record.lambda_bar)
@@ -247,9 +243,7 @@ def write_stage(run_dir: str, config: ExperimentConfig, profile: NodalProfile,
         grid.nodes,
         {f"p_{q + 1}": p for q, p in enumerate(record.ensemble.pulses)},
     )
-    diag = build_report(
-        record.beta, config.epsilon, record.ensemble, profile, record.maximizer
-    )
+    diag = build_report(record.beta, record.ensemble, profile, record.maximizer)
     payload = {"record": record.to_dict(), "diagnostics": diag.to_dict()}
     with open(os.path.join(run_dir, f"record_beta{tag}.json"), "w") as f:
         json.dump(payload, f, indent=2)
@@ -372,7 +366,6 @@ def cmd_report(args) -> int:
         c_value=meta["c_infinity"],
     )
     assignment = build_assignment(config.sigma)
-    rng = np.random.default_rng(config.seed)
     reports = {}
     for name in sorted(os.listdir(run_dir)):
         if not (name.startswith("pulses_beta") and name.endswith(".csv")):
@@ -383,19 +376,14 @@ def cmd_report(args) -> int:
         pulses = np.array([pdata[:, 1 + q] for q in range(assignment.h)])
         ensemble = PulseEnsemble(grid, assignment, pulses)
         rep = maximize_phi(beta, ensemble)
-        diag = build_report(beta, config.epsilon, ensemble, profile, rep)
+        diag = build_report(beta, ensemble, profile, rep)
         entry = diag.to_dict()
         U = ensemble.components(rep.lambda_bar)
         R = residual_components(grid, beta, U)
-        worst = 0.0
-        for _ in range(50):
-            slope = 0.0
-            for q in range(assignment.h):
-                v = np.abs(rng.standard_normal(grid.n_points))
-                v[-1] = 0.0
-                slope += float(np.dot(grid.quad_weights, R[assignment.sigma[q] - 1] * v))
-            worst = min(worst, slope)
-        entry["stationarity_min"] = worst
+        # least slope sum_q <R_sigma(q), v_q> over probes 0 <= v_q <= 1
+        # that vanish at the Dirichlet node: each v_q is 1 where R < 0
+        neg = np.minimum(R[:, :-1], 0.0) @ grid.quad_weights[:-1]
+        entry["stationarity_min"] = float(sum(neg[i - 1] for i in assignment.sigma))
         reports[tag] = entry
     if not reports:
         raise ConfigError(f"{run_dir} holds no pulse data to report on")
@@ -410,10 +398,8 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--r-max", type=float, dest="r_max")
     parser.add_argument("--h", type=int, help="number of pulses")
     parser.add_argument("--sigma", help="component assignment, e.g. 1,2,1,3,2")
-    parser.add_argument("--epsilon", type=float)
     parser.add_argument("--newton-tol", type=float, dest="newton_tol")
     parser.add_argument("--tol-nehari", type=float, dest="tol_nehari")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output directory root")
     parser.add_argument("--label", help="run directory name instead of timestamp")
 

@@ -91,20 +91,18 @@ def residual_max(grid: RadialGrid, beta: float, components: np.ndarray) -> float
     return float(np.max(np.abs(R)))
 
 
-def membership(beta: float, epsilon: float, ensemble: PulseEnsemble,
-               profile: NodalProfile, maximizer_report: MaximizerReport) -> dict:
-    """Set membership used by the acceptance logic.
+def membership(beta: float, profile: NodalProfile,
+               maximizer_report: MaximizerReport) -> dict:
+    """Set membership flags of a state's diagnostics (`build_report`);
+    no stage acceptance reads them.
 
-    in_X_eps: pulse distance to the segregated profile below epsilon.
     in_tilde_X: maximized energy under the segregated value plus the
         coupling-dependent margin min(1, 1/beta).
     in_N_beta: every scaling factor is 1 within tolerance.
     """
-    d = pulse_distance(ensemble, profile)
     m_val = maximizer_report.m_value
     lam = maximizer_report.lambda_bar.values
     return {
-        "in_X_eps": bool(d < epsilon),
         "in_tilde_X": bool(
             m_val < profile.c_value + (min(1.0, 1.0 / beta) if beta > 0 else 1.0)
         ),
@@ -112,7 +110,7 @@ def membership(beta: float, epsilon: float, ensemble: PulseEnsemble,
     }
 
 
-def build_report(beta: float, epsilon: float, ensemble: PulseEnsemble,
+def build_report(beta: float, ensemble: PulseEnsemble,
                  profile: NodalProfile,
                  maximizer_report: MaximizerReport) -> DiagnosticsReport:
     grid = ensemble.grid
@@ -130,7 +128,7 @@ def build_report(beta: float, epsilon: float, ensemble: PulseEnsemble,
         overlap_matrix=ovl,
         beta_overlap_matrix=bovl,
         lambda_bar=lam.copy(),
-        membership=membership(beta, epsilon, ensemble, profile, maximizer_report),
+        membership=membership(beta, profile, maximizer_report),
         residual_max=residual_max(grid, beta, U),
     )
 

@@ -63,10 +63,6 @@ class DegeneratePulse(MaximizerFailure):
     """A pulse has numerically zero norm; scaling is ill-posed."""
 
 
-class LeftNeighborhood(UserWarning):
-    """Descent iterate drifted outside the trust distance (warning only)."""
-
-
 class StageFailure(UserWarning):
     """A schedule stage failed and is absent from the records; the message
     names the cause.  Each stage starts from its own walked state, so the

@@ -1,5 +1,5 @@
-"""Constrained descent, Newton refinement, and continuation in the
-coupling strength for the k-component cubic system.
+"""Coupled Newton solves and continuation in the coupling strength for
+the k-component cubic system.
 
 A continuation run anchors a damped Newton solve at a large coupling,
 where the segregated initial guess is nearly exact, and walks the
@@ -9,8 +9,11 @@ from the initial guess at weak coupling falls into the wrong basin, while
 the walk follows the branch.  Each walk step predicts along the branch
 tangent and corrects with full-step Newton, rejecting the step as soon
 as the simplified-Newton contraction shows it left the Newton basin
-(P. Deuflhard, Newton Methods for Nonlinear Problems, 2004).  Every stage
-then refines its own walked state.
+(P. Deuflhard, Newton Methods for Nonlinear Problems, 2004).  A stage is
+its walked state, already converged by that corrector: one positivity
+step, a cut into pulses, and one scaling maximization that certifies it.
+The paper's descent of the maximized scaling energy, `minimize_m_beta`,
+is a standalone tool that no stage calls.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .assignment import Assignment
 from .errors import (
     ConfigError,
-    LeftNeighborhood,
     MaximizerFailure,
     NegativityPersistent,
     NewtonDivergence,
@@ -50,8 +52,10 @@ ANCHOR_BETA = 1e4
 
 @dataclass
 class SolverConfig:
+    """Schedule and Newton tolerance; `outer_tol` and `max_iters` serve
+    only `minimize_m_beta`."""
+
     beta_schedule: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
-    epsilon: float = 0.5
     outer_tol: float = 1e-7
     newton_tol: float = 1e-10
     max_iters: int = 150
@@ -65,7 +69,7 @@ class SolverConfig:
         if any(b2 <= b1 for b1, b2 in zip(sched, sched[1:])):
             raise ConfigError("beta_schedule must be strictly increasing")
         self.beta_schedule = sched
-        for name in ("epsilon", "outer_tol", "newton_tol"):
+        for name in ("outer_tol", "newton_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.max_iters < 1:
@@ -272,7 +276,6 @@ def coupled_newton(grid: RadialGrid, beta: float, U: np.ndarray,
 
 
 def minimize_m_beta(beta: float, start: PulseEnsemble, config: SolverConfig,
-                    target: Optional[NodalProfile] = None,
                     trace: Optional[list] = None) -> PulseEnsemble:
     """Descend the maximized scaling energy in the pulses.
 
@@ -338,12 +341,6 @@ def minimize_m_beta(beta: float, start: PulseEnsemble, config: SolverConfig,
         if not ok:
             break
         centers = [int(np.argmax(P[q])) for q in range(h)]
-        if target is not None:
-            ens = PulseEnsemble(grid, assignment, P)
-            if pulse_distance(ens, target) > config.epsilon:
-                warnings.warn(
-                    "descent iterate left the trust distance", LeftNeighborhood
-                )
     return PulseEnsemble(grid, assignment, P)
 
 
@@ -361,41 +358,27 @@ def _picard_step(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
     return V
 
 
-def newton_refine(beta: float, ensemble: PulseEnsemble,
-                  config: Optional[SolverConfig] = None,
-                  target: Optional[NodalProfile] = None) -> SolutionRecord:
-    """Solve the coupled system from the scaled ensemble and re-extract
-    pulses; the record carries the residual, scaling state, and overlaps.
+def _certify(beta: float, grid: RadialGrid, assignment: Assignment,
+             U: np.ndarray, centers, newton_tol: float,
+             target: Optional[NodalProfile]) -> SolutionRecord:
+    """The record of a Newton-converged state U: its pulses, cut at the
+    given centers, and the scaling maximum that certifies them.
 
-    Refined components are nonnegative everywhere and strictly positive on
-    their supports.  Between a component's pulses at strong coupling the
-    true values (1e-100 and below) lie far under the Newton tolerance, so
-    the Newton iterate can be zero or negative there.  After clipping it,
-    one Picard step per component solves (-Lap + 1 + beta T_i) V_i = U_i^3
-    with T_i = sum_{j != i} U_j^2.  That matrix is a strictly diagonally
+    Between a component's pulses at strong coupling the true values
+    (1e-100 and below) lie far under the Newton tolerance, so U can be
+    zero or negative there.  After clipping it, one Picard step per
+    component solves (-Lap + 1 + beta T_i) V_i = U_i^3 with
+    T_i = sum_{j != i} U_j^2.  That matrix is a strictly diagonally
     dominant M-matrix: elimination takes no pivots and every update adds
     terms of one sign, so V_i, solved for itself rather than as a
     correction, keeps its sign and relative accuracy down to the tiniest
-    values, and its change from U_i is bounded by the residual.
+    values, and its change from U_i is bounded by the residual.  The
+    components are then nonnegative everywhere and strictly positive on
+    their supports.  `maximize_phi` raises where the pulses have no
+    scaling maximum, e.g. `SaddleScaling` at weak coupling.
     """
-    if config is None:
-        config = SolverConfig()
-    grid = ensemble.grid
-    assignment = ensemble.assignment
-    report = maximize_phi(beta, ensemble)
-    lam = report.lambda_bar.values
-    U0 = ensemble.components(lam)
-    U, resid, _ = coupled_newton(grid, beta, U0, tol=config.newton_tol, maxit=80)
-    if resid > max(1e-8, config.newton_tol * 10):
-        raise NewtonDivergence(f"coupled solve stalled at residual {resid:.2e}")
-    if U.min() < -1e-9:
-        warnings.warn(
-            f"component min {U.min():.2e} negative after damping",
-            NegativityPersistent,
-        )
     U = _picard_step(grid, beta, np.maximum(U, 0.0))
     resid = float(np.max(np.abs(residual_components(grid, beta, U))))
-    centers = [int(np.argmax(ensemble.pulses[q])) for q in range(assignment.h)]
     P = split_components(grid, assignment, U, centers)
     refined = PulseEnsemble(grid, assignment, P)
     rep = maximize_phi(beta, refined)
@@ -420,11 +403,37 @@ def newton_refine(beta: float, ensemble: PulseEnsemble,
         overlaps=overlaps,
         in_nehari=in_nehari,
         hessian_negdef=rep.hessian_negdef,
-        accepted=bool(resid < max(1e-8, config.newton_tol * 10))
+        accepted=bool(resid < max(1e-8, newton_tol * 10))
         and in_nehari
         and rep.hessian_negdef,
         maximizer=rep,
     )
+
+
+def newton_refine(beta: float, ensemble: PulseEnsemble,
+                  config: Optional[SolverConfig] = None,
+                  target: Optional[NodalProfile] = None) -> SolutionRecord:
+    """Solve the coupled system by damped Newton from the scaled ensemble
+    and certify the result (see `_certify`), cutting it at the pulse
+    maxima of the ensemble.  `artifact solve` uses it at zero coupling,
+    where no branch is walked.
+    """
+    if config is None:
+        config = SolverConfig()
+    grid = ensemble.grid
+    assignment = ensemble.assignment
+    report = maximize_phi(beta, ensemble)
+    U0 = ensemble.components(report.lambda_bar.values)
+    U, resid, _ = coupled_newton(grid, beta, U0, tol=config.newton_tol, maxit=80)
+    if resid > max(1e-8, config.newton_tol * 10):
+        raise NewtonDivergence(f"coupled solve stalled at residual {resid:.2e}")
+    if U.min() < -1e-9:
+        warnings.warn(
+            f"component min {U.min():.2e} negative after damping",
+            NegativityPersistent,
+        )
+    centers = [int(np.argmax(ensemble.pulses[q])) for q in range(assignment.h)]
+    return _certify(beta, grid, assignment, U, centers, config.newton_tol, target)
 
 
 def _tangent(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
@@ -507,8 +516,10 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     The branch is anchored by a damped Newton solve at a large coupling,
     where the segregated guess is nearly exact, and walked once: down
     through the schedule points at or below the anchor, then up through
-    those above it.  Each stage starts from its own walked state: its
-    pulses are cut at the re-located bump centers and refined.
+    those above it.  A stage is its walked state, which the walk's
+    corrector has converged: `_certify` cuts it at the re-located bump
+    centers and certifies it with one scaling maximization, with no
+    Newton solve of its own.
     A failed stage, including one beyond a walk stall, is reported as a
     `StageFailure` warning naming its cause and is absent from the
     records; the other stages are unaffected.  A failed anchor solve
@@ -544,11 +555,8 @@ def continuation(profile: NodalProfile, assignment: Assignment,
             centers = component_centers(
                 grid, assignment, states[beta], reference=reference
             )
-            state = PulseEnsemble(
-                grid, assignment,
-                split_components(grid, assignment, states[beta], centers),
-            )
-            records.append(newton_refine(beta, state, config=config, target=profile))
+            records.append(_certify(beta, grid, assignment, states[beta],
+                                    centers, config.newton_tol, profile))
         except SolveError as exc:
             warnings.warn(
                 f"stage beta={beta:g} failed: {exc}",

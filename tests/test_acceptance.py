@@ -301,7 +301,7 @@ def test_10_sweep_determinism(tmp_path):
         argv = [
             "sweep", "--dim", "2", "--n-points", "513", "--r-max", "30",
             "--h", "2", "--sigma", "1,2", "--beta-schedule", "1,10,100",
-            "--seed", "11", "--out", str(tmp_path), "--label", label,
+            "--out", str(tmp_path), "--label", label,
         ]
         assert cli.main(argv) == 0
         with open(os.path.join(str(tmp_path), label, "sweep.csv"), "rb") as f:

@@ -2,6 +2,7 @@
 error codes, and reproducibility."""
 import json
 import os
+import shutil
 
 import pytest
 
@@ -115,7 +116,7 @@ def sweep_pair(tmp_path_factory):
         argv = [
             "sweep", "--dim", "2", "--n-points", "513", "--r-max", "30",
             "--h", "2", "--sigma", "1,2", "--beta-schedule", "1,10,100",
-            "--seed", "7", "--out", str(root), "--label", label,
+            "--out", str(root), "--label", label,
         ]
         rc = cli.main(argv)
         assert rc == 0
@@ -165,6 +166,17 @@ def test_report_recomputes_diagnostics(sweep_pair, capsys):
     assert b100 < 10.0 * max(b1, 1e-30) + 1.0
 
 
+def test_report_is_deterministic(sweep_pair, tmp_path, capsys):
+    # an old run directory with another probe seed reports the same
+    copy = tmp_path / "reseeded"
+    shutil.copytree(sweep_pair[0], copy)
+    cfg_path = copy / "config.json"
+    cfg_path.write_text(json.dumps(dict(json.loads(cfg_path.read_text()), seed=12345)))
+    outs = [run_cli(["report", "--run", str(run)], capsys)[1]
+            for run in (sweep_pair[0], copy)]
+    assert outs[0] == outs[1]
+
+
 def test_report_missing_run(tmp_path, capsys):
     rc, out, err = run_cli(["report", "--run", str(tmp_path / "absent")], capsys)
     assert rc == 2
@@ -173,7 +185,7 @@ def test_report_missing_run(tmp_path, capsys):
 def test_config_round_trip(tmp_path):
     cfg = cli.ExperimentConfig(
         dimension=3, n_points=1025, r_max=20.0, h=3, sigma=(1, 2, 3),
-        beta_schedule=(2.0, 20.0), epsilon=0.25, seed=11,
+        beta_schedule=(2.0, 20.0),
         output_dir=str(tmp_path),
     )
     path = tmp_path / "config.json"
@@ -205,14 +217,19 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "frobnicate" in json.loads(err.strip())["message"]
 
 
-def test_legacy_outer_tol_key_is_dropped(tmp_path):
-    # config.json of runs whose stages still descended carries outer_tol
+@pytest.mark.parametrize("key, value", [("outer_tol", 1e-7), ("epsilon", 0.5),
+                                        ("seed", 7)],
+                         ids=["outer_tol", "epsilon", "seed"])
+def test_legacy_outer_tol_key_is_dropped(tmp_path, key, value):
+    # config.json of older runs carries the descent's outer_tol, the trust
+    # distance epsilon and the probe seed of report; none is read any more
     cfg = cli.ExperimentConfig(output_dir=str(tmp_path))
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(dict(cfg.to_dict(), outer_tol=1e-7)))
+    path.write_text(json.dumps(dict(cfg.to_dict(), **{key: value})))
     assert cli.load_config(path) == cfg
+    flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(["scalar", "--outer-tol", "1e-7"])
+        cli.build_parser().parse_args(["scalar", flag, str(value)])
 
 
 @pytest.mark.parametrize("entry", [{"sigma": [1, 2.5, 1]}, {"sigma": ["x"]},

@@ -73,31 +73,18 @@ def test_overlap_coincident_fields(grid_n1, soliton_profile):
 
 def test_membership_at_reference(guess_h2, profile_h2):
     rep = af.maximize_phi(2.0, guess_h2)
-    flags = af.membership(2.0, 0.5, guess_h2, profile_h2, rep)
-    assert flags == {"in_X_eps": True, "in_tilde_X": True, "in_N_beta": True}
+    flags = af.membership(2.0, profile_h2, rep)
+    assert flags == {"in_tilde_X": True, "in_N_beta": True}
 
 
 def test_membership_detects_scaling_offset(guess_h2, profile_h2, assignment_h2):
     g = guess_h2.grid
     tripled = af.PulseEnsemble(g, assignment_h2, 3.0 * guess_h2.pulses)
     rep = af.maximize_phi(2.0, tripled)
-    flags = af.membership(2.0, 0.5, tripled, profile_h2, rep)
+    flags = af.membership(2.0, profile_h2, rep)
     assert not flags["in_N_beta"]
-    assert not flags["in_X_eps"]
     # the maximized value is scale invariant, the margin keeps holding
     assert flags["in_tilde_X"]
-
-
-def test_membership_epsilon_consistency(guess_h2, profile_h2, assignment_h2):
-    g = guess_h2.grid
-    P = guess_h2.pulses.copy()
-    P[1] = 1.02 * P[1]
-    nudged = af.PulseEnsemble(g, assignment_h2, P)
-    d = af.pulse_distance(nudged, profile_h2)
-    rep = af.maximize_phi(2.0, nudged)
-    for eps in (0.5 * d, 2.0 * d):
-        flags = af.membership(2.0, eps, nudged, profile_h2, rep)
-        assert flags["in_X_eps"] == (d < eps)
 
 
 def test_residual_max_zero_field(grid_n1):
@@ -118,7 +105,7 @@ def test_residual_max_second_order():
 
 def test_build_report_round_trip(tmp_path, guess_h2, profile_h2):
     rep = af.maximize_phi(2.0, guess_h2)
-    diag = af.build_report(2.0, 0.5, guess_h2, profile_h2, rep)
+    diag = af.build_report(2.0, guess_h2, profile_h2, rep)
     assert diag.d_sigma == 0.0
     assert diag.c_infinity_ref == profile_h2.c_value
     assert diag.energy == pytest.approx(rep.m_value, rel=1e-9)

@@ -15,7 +15,6 @@ import artifact as af
     {"beta_schedule": (-1.0,)},
     {"beta_schedule": (1.0, 1.0)},
     {"beta_schedule": (10.0, 1.0)},
-    {"epsilon": 0.0},
     {"outer_tol": -1e-7},
     {"newton_tol": 0.0},
     {"max_iters": 0},
@@ -125,12 +124,6 @@ def test_minimize_descends_at_moderate_coupling(guess_h2, profile_h2):
     assert af.pulse_distance(out, profile_h2) > 0
 
 
-def test_minimize_warns_outside_trust_distance(guess_h2, profile_h2):
-    cfg = af.SolverConfig(beta_schedule=(100.0,), epsilon=1e-6)
-    with pytest.warns(af.LeftNeighborhood):
-        af.minimize_m_beta(100.0, guess_h2, cfg, target=profile_h2)
-
-
 def test_minimize_propagates_start_failure():
     g = af.build_grid(2, 257, 20.0)
     r = g.nodes
@@ -207,12 +200,12 @@ def test_continuation_records_stage_failure(profile_h2, assignment_h2,
                                             monkeypatch):
     # a failed stage must surface as a warning while the other stages
     # still run, each from its own walked state
-    real = af.newton_refine
-    def flaky(beta, ensemble, config=None, target=None):
+    real = af.maximize_phi
+    def flaky(beta, ensemble, **kwargs):
         if beta == 10.0:
             raise af.NonConvergence("forced stage failure")
-        return real(beta, ensemble, config=config, target=target)
-    monkeypatch.setattr("artifact.solver.newton_refine", flaky)
+        return real(beta, ensemble, **kwargs)
+    monkeypatch.setattr("artifact.solver.maximize_phi", flaky)
     cfg = af.SolverConfig(beta_schedule=(1.0, 10.0, 100.0))
     with pytest.warns(af.StageFailure, match="beta=10"):
         recs = af.continuation(profile_h2, assignment_h2, cfg)
@@ -222,24 +215,27 @@ def test_continuation_records_stage_failure(profile_h2, assignment_h2,
 
 def test_continuation_makes_one_newton_call_of_its_own(profile_h2, assignment_h2,
                                                        monkeypatch):
-    # the anchor is the only damped Newton solve of the driver; the walk
-    # runs on its own corrector, every other call is a refinement, and a
-    # stage refines its walked state without a descent
-    real = af.coupled_newton
-    callers = []
+    # the anchor is the only damped Newton solve of the driver and the
+    # walk runs on its own corrector; a stage is its walked state,
+    # certified by one scaling maximization, without a descent
+    real_newton, real_maximize = af.coupled_newton, af.maximize_phi
+    callers, maximized = [], []
     def spy(*args, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
-        return real(*args, **kwargs)
+        return real_newton(*args, **kwargs)
+    def count_maximize(beta, ensemble, **kwargs):
+        maximized.append(beta)
+        return real_maximize(beta, ensemble, **kwargs)
     def no_descent(*args, **kwargs):
         raise AssertionError("a continuation stage ran the descent")
     monkeypatch.setattr("artifact.solver.coupled_newton", spy)
+    monkeypatch.setattr("artifact.solver.maximize_phi", count_maximize)
     monkeypatch.setattr("artifact.solver.minimize_m_beta", no_descent)
     cfg = af.SolverConfig(beta_schedule=(1.0, 10.0, 100.0))
     recs = af.continuation(profile_h2, assignment_h2, cfg)
     assert len(recs) == 3
-    assert callers.count("continuation") == 1
-    assert callers.count("newton_refine") == 3
-    assert len(callers) == 4
+    assert callers == ["continuation"]
+    assert sorted(maximized) == [1.0, 10.0, 100.0]
 
 
 def test_walk_stall_fails_only_the_stages_beyond_it(profile_h2, assignment_h2,
