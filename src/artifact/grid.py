@@ -17,6 +17,8 @@ from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 from .errors import ConfigError
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
+# a converged residual row keeps roundoff under this multiple of its terms
+ROUNDOFF = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -193,23 +195,46 @@ def factor_tridiag(lo, di, up):
     return solve
 
 
-def newton(residual, factor, u, tol, maxit, history=None):
-    """Damped Newton for residual(u) = 0; returns (u, residual, steps).
+def converged(F, nf, tol, rows, u) -> bool:
+    """The acceptance rule of every Newton iteration: each row of the
+    residual F at u, whose max norm is nf, satisfies
+    |F_j| < max(tol, 4 eps rows_j(u)).
 
+    rows_j(u) are the magnitudes of the terms that row j sums, such as
+    |di u_j| + |u_j|^3: a converged row keeps roundoff of their size,
+    which on fine grids (di ~ 1/dr^2) exceeds any fixed tol.  ``rows(u)``
+    returns (bound, terms): a cheap upper bound of the largest row term,
+    and a function that evaluates every row's terms.  The terms are
+    evaluated only when the max-norm residual lies under 4 eps bound.
+    """
+    if nf < tol:
+        return True
+    bound, terms = rows(u)
+    if nf >= ROUNDOFF * bound:
+        return False
+    return bool(np.all(np.abs(F) < np.maximum(tol, ROUNDOFF * terms())))
+
+
+def newton(residual, factor, u, tol, maxit, rows, history=None):
+    """Damped Newton for residual(u) = 0; returns (u, max-norm residual,
+    steps, converged).
+
+    The iteration stops once u meets the acceptance rule of
+    ``converged`` under tol and the caller's row terms ``rows``.
     factor(u) returns solve(F), the Jacobian at u applied inversely.  A
     step u - t solve(F) halves t, up to 50 times, until the max-norm
     residual drops by the Armijo factor 1 - t/4 or falls under tol
     (P. Deuflhard, Newton Methods for Nonlinear Problems, 2004); a step
-    that finds neither ends the iteration.  ``history`` collects the
-    residual of u and of every accepted step.
+    that finds neither ends the iteration unconverged.  ``history``
+    collects the residual of u and of every accepted step.
     """
     F = residual(u)
     nf = float(np.max(np.abs(F)))
     if history is not None:
         history.append(nf)
     for it in range(maxit):
-        if nf < tol:
-            return u, nf, it
+        if converged(F, nf, tol, rows, u):
+            return u, nf, it, True
         d = factor(u)(F)
         t = 1.0
         for _ in range(50):
@@ -220,11 +245,11 @@ def newton(residual, factor, u, tol, maxit, history=None):
                 break
             t *= 0.5
         else:
-            return u, nf, it
+            return u, nf, it, False
         u, F, nf = un, Fn, nn
         if history is not None:
             history.append(nf)
-    return u, nf, maxit
+    return u, nf, maxit, converged(F, nf, tol, rows, u)
 
 
 def apply_schrodinger(grid: RadialGrid, u) -> np.ndarray:

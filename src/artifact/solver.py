@@ -37,6 +37,7 @@ from .errors import (
 from .grid import (
     RadialGrid,
     apply_tridiag,
+    converged,
     factor_tridiag,
     h1_norm_sq,
     newton,
@@ -259,20 +260,46 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
     return solve
 
 
+def _row_terms(grid: RadialGrid, beta: float):
+    """Row terms of `residual_components` for `grid.converged`:
+    |di U_i| + |U_i|^3 + beta |U_i| T_i, and the cheap bound
+    max|di| m + (1 + beta (k - 1)) m^3 of their largest, m = max|U|."""
+    dmax = float(np.max(np.abs(grid.op_diag)))
+
+    def rows(U):
+        m = float(np.max(np.abs(U)))
+        return (dmax * m + (1.0 + beta * (len(U) - 1)) * m**3,
+                lambda: np.abs(grid.op_diag * U) + np.abs(U) ** 3
+                + beta * np.abs(U) * _cross_sq(U))
+
+    return rows
+
+
+def _converged(grid: RadialGrid, beta: float, U: np.ndarray, F: np.ndarray,
+             tol: float) -> bool:
+    """`grid.converged` for the residual F of the coupled system at U."""
+    return converged(F, float(np.max(np.abs(F))), tol,
+                     _row_terms(grid, beta), U)
+
+
 def coupled_newton(grid: RadialGrid, beta: float, U: np.ndarray,
                    tol: float = 1e-10, maxit: int = 60,
                    history: Optional[list] = None):
-    """Damped banded Newton on the k-field system; returns (U, resid, iters).
+    """Damped banded Newton on the k-field system; returns (U, resid, iters)
+    with resid the max-norm residual.
 
     `grid.newton` on `residual_components`, each step solved with
-    `_jacobian_solver`, from a copy of U.  It serves the anchor solve of
-    `continuation` and `newton_refine`, whose starting states lie outside
-    the full-step Newton basin; the beta-walk uses its own corrector,
-    `_correct`.
+    `_jacobian_solver`, from a copy of U; a row is converged under tol or
+    the roundoff of its terms (`_row_terms`).  It serves the anchor solve
+    of `continuation` and `newton_refine`, whose starting states lie
+    outside the full-step Newton basin; the beta-walk uses its own
+    corrector, `_correct`.
     """
-    return newton(lambda V: residual_components(grid, beta, V),
-                  lambda V: _jacobian_solver(grid, beta, V),
-                  U.copy(), tol, maxit, history)
+    U, resid, iters, _ = newton(lambda V: residual_components(grid, beta, V),
+                                lambda V: _jacobian_solver(grid, beta, V),
+                                U.copy(), tol, maxit, _row_terms(grid, beta),
+                                history)
+    return U, resid, iters
 
 
 def minimize_m_beta(beta: float, start: PulseEnsemble, config: SolverConfig,
@@ -456,19 +483,22 @@ def _correct(grid: RadialGrid, beta: float, U: np.ndarray,
     Newton steps.  With
     Theta < 1/2 every correction at least halves; accepted trials on the
     reference sweeps take 2 to 6 steps, and 20 bounds a slow contraction.
+    A state is converged under the rule of `coupled_newton` (`_converged`).
     """
     F = residual_components(grid, beta, U)
+    done = _converged(grid, beta, U, F, tol)
     for _ in range(20):
-        if np.max(np.abs(F)) < tol:
+        if done:
             return U
         solve = _jacobian_solver(grid, beta, U)
         dU = solve(-F)
         U = U + dU
         F = residual_components(grid, beta, U)
-        if np.max(np.abs(F)) >= tol and not (
+        done = _converged(grid, beta, U, F, tol)
+        if not done and not (
                 np.max(np.abs(solve(-F))) < 0.5 * np.max(np.abs(dU))):
             return None
-    return U if np.max(np.abs(F)) < tol else None
+    return U if done else None
 
 
 def _walk_beta(grid: RadialGrid, U, b_from: float, targets,
@@ -522,8 +552,13 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     Newton solve of its own.
     A failed stage, including one beyond a walk stall, is reported as a
     `StageFailure` warning naming its cause and is absent from the
-    records; the other stages are unaffected.  A failed anchor solve
-    raises NewtonDivergence.
+    records; the other stages are unaffected.  An anchor solve that does
+    not converge under the rule of `coupled_newton` raises
+    NewtonDivergence.  It does so on the line with h >= 2, e.g.
+    (N, n, r_max) = (1, 513, 30) with h = 3: there the anchor stalls for
+    real, at a residual of about 2.5e-4.  Energy conservation on the line
+    forbids a decaying sign-changing solution, so those bumps exist only
+    through the Dirichlet condition at r_max, outside the paper's R^N.
     """
     grid = profile.grid
     guess = initial_guess(profile, assignment)
@@ -532,7 +567,8 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     U, res, _ = coupled_newton(
         grid, anchor, guess.components(), tol=config.newton_tol, maxit=120
     )
-    if res > config.newton_tol:
+    if not _converged(grid, anchor, U, residual_components(grid, anchor, U),
+                    config.newton_tol):
         raise NewtonDivergence(f"anchor solve stalled at residual {res:.2e}")
     states, stalls = {}, {}
     for targets in ([b for b in reversed(schedule) if b <= anchor],

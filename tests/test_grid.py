@@ -180,3 +180,34 @@ def test_lp_integral_soliton(grid_n1):
     # closed form: integral of (sqrt(2) sech r)^4 over the line is 16/3
     u = np.sqrt(2.0) / np.cosh(grid_n1.nodes)
     assert af.lp_integral(grid_n1, u, 4) == pytest.approx(16.0 / 3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1.01, 1.1, 0.9])
+def test_newton_stops_at_the_roundoff_of_its_rows(scale):
+    # a fine N=3 ball cell (di ~ 1/dr^2 = 1e6 on the axis row): roundoff
+    # keeps the max-norm residual near 1e-9, far above tol = 1e-12, so a
+    # test on tol alone ends every polish in a line search that halves 50
+    # times; the row rule stops it one residual evaluation after its
+    # last step
+    g = af.build_grid(3, 8193, 20.0)
+    j1 = int(round(2.81 / g.dr))
+    u0, _ = af.annulus_ground_state(g, 0.0, g.nodes[j1])
+    lo, di, up = g.op_lower[: j1 - 1], g.op_diag[:j1], g.op_upper[: j1 - 1]
+    calls = []
+
+    def residual(v):
+        calls.append(1)
+        return apply_tridiag(lo, di, up, v) - v**3
+
+    def rows(v):
+        m = np.max(np.abs(v))
+        return np.max(di) * m + m**3, lambda: np.abs(di * v) + np.abs(v) ** 3
+
+    u, nf, steps, ok = af.grid.newton(
+        residual, lambda v: lambda F: solve_tridiag(lo, di - 3.0 * v**2, up, F),
+        scale * u0[:j1], 1e-12, 40, rows)
+    assert ok and 1 <= steps
+    assert len(calls) <= steps + 3, (len(calls), steps)
+    F = apply_tridiag(lo, di, up, u) - u**3
+    assert nf == np.max(np.abs(F)) > 1e-12
+    assert np.all(np.abs(F) < af.grid.ROUNDOFF * (np.abs(di * u) + np.abs(u) ** 3))

@@ -351,6 +351,46 @@ def test_fine_cells_accept_their_first_polish(monkeypatch):
         assert len(calls) == 1, (l, len(calls))
 
 
+@pytest.mark.parametrize("dim, n, r_max, h", [(1, 1025, 16.0, 3),
+                                               (2, 2049, 30.0, 5),
+                                               (3, 4097, 40.0, 3)])
+def test_cold_seed_cells_land_on_their_first_polish(monkeypatch, dim, n, r_max, h):
+    # every cold cell of the interface seed reaches the basin of its
+    # ground state within one 10-step descent chunk: its first polish is
+    # accepted (with 40-step chunks, cells here ran up to 40 steps first)
+    g = af.build_grid(dim, n, r_max)
+    cell, newton = af.scalar._annulus_cont, af.scalar._newton
+    steps, polishes, seen = [0], [0], []
+
+    def factor_spy(lo, di, up):
+        solve = factor_tridiag(lo, di, up)
+
+        def counted(b):
+            steps[0] += 1
+            return solve(b)
+
+        return counted
+
+    def newton_spy(*args):
+        polishes[0] += 1
+        return newton(*args)
+
+    def cell_spy(*args, **kwargs):
+        steps[0] = polishes[0] = 0
+        out = cell(*args, **kwargs)
+        if kwargs.get("u_init") is None and out[0] is not None:
+            seen.append((args[1:3], steps[0], polishes[0]))
+        return out
+
+    monkeypatch.setattr(af.scalar, "factor_tridiag", factor_spy)
+    monkeypatch.setattr(af.scalar, "_newton", newton_spy)
+    monkeypatch.setattr(af.scalar, "_annulus_cont", cell_spy)
+    af.scalar._partition_seed(g, h)
+    assert seen
+    for radii, k, m in seen:
+        assert k <= 10 and m == 1, (radii, k, m)
+
+
 def test_annulus_rejects_bad_interval(grid_h2):
     with pytest.raises(af.EmptyAnnulus):
         af.annulus_ground_state(grid_h2, 5.0, 5.0)

@@ -312,3 +312,26 @@ def test_jacobian_solver_matches_solve_banded(k, rng):
             F = rng.standard_normal(U.shape)
             ref = solve_banded((k, k), ab, F.T.reshape(-1)).reshape(g.n_points, k).T
             assert np.array_equal(solve(F), ref)
+
+
+def test_fine_grid_anchor_accepts_at_the_roundoff_of_its_rows():
+    # on (3, 4097, 30) the anchor solve's residual stays at 1.5e-10, above
+    # newton_tol = 1e-10, from roundoff in rows of size ~1/dr^2; judged
+    # row by row against that roundoff, every stage is accepted
+    g = af.build_grid(3, 4097, 30.0)
+    profile = af.compute_c_infinity(g, 3)
+    cfg = af.SolverConfig(beta_schedule=(1e3, 1e4, 1e5, 1e6, 1e7))
+    recs = af.continuation(profile, af.build_assignment((1, 2, 1)), cfg)
+    assert [r.beta for r in recs] == list(cfg.beta_schedule)
+    assert all(r.accepted for r in recs)
+
+
+def test_line_anchor_stall_stays_a_typed_failure():
+    # on the line with h >= 2 the anchor stalls for real, far above any
+    # row's roundoff; the row rule must not accept it
+    g = af.build_grid(1, 513, 30.0)
+    profile = af.compute_c_infinity(g, 3)
+    cfg = af.SolverConfig(beta_schedule=(1e4,))
+    with pytest.raises(af.NewtonDivergence, match="anchor solve stalled") as exc:
+        af.continuation(profile, af.build_assignment((1, 2, 1)), cfg)
+    assert float(str(exc.value).rsplit(" ", 1)[1]) > 1e-6
