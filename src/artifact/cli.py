@@ -12,7 +12,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class ExperimentConfig:
     h: int = 5
     sigma: tuple = (1, 2, 1, 3, 2)
     beta_schedule: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
-    newton_tol: float = 1e-10
     tol_nehari: float = 1e-8
     output_dir: str = "runs"
 
@@ -58,7 +57,7 @@ class ExperimentConfig:
         if not all(isinstance(s, int) for s in self.sigma):
             raise ConfigError(f"sigma entries must be integers, got {self.sigma}")
         self.sigma = tuple(self.sigma)
-        # SolverConfig checks the schedule and the solver tolerances
+        # SolverConfig checks the schedule
         self.beta_schedule = self.solver_config().beta_schedule
         if self.tol_nehari <= 0:
             raise ConfigError("tol_nehari must be positive")
@@ -71,20 +70,19 @@ class ExperimentConfig:
             "h": self.h,
             "sigma": list(self.sigma),
             "beta_schedule": list(self.beta_schedule),
-            "newton_tol": self.newton_tol,
             "tol_nehari": self.tol_nehari,
             "output_dir": self.output_dir,
         }
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(beta_schedule=self.beta_schedule,
-                            newton_tol=self.newton_tol)
+        return SolverConfig(beta_schedule=self.beta_schedule)
 
 
 # keys of older run directories that no run reads any more: the descent's
-# stopping tolerance, the trust distance epsilon, and the seed of the
-# random stationarity probes of `report`
-LEGACY_KEYS = ("outer_tol", "epsilon", "seed")
+# stopping tolerance, the trust distance epsilon, the seed of the random
+# stationarity probes of `report`, and the coupled Newton tolerance, now
+# the constant solver.NEWTON_TOL
+LEGACY_KEYS = ("outer_tol", "epsilon", "seed", "newton_tol")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -142,7 +140,6 @@ def build_cli_config(args) -> ExperimentConfig:
         "n_points": args.n_points,
         "r_max": args.r_max,
         "h": args.h,
-        "newton_tol": args.newton_tol,
         "tol_nehari": args.tol_nehari,
         "output_dir": args.out,
     }
@@ -267,30 +264,35 @@ def cmd_scalar(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
+def _start_run(args, kind: str):
+    """The start of `solve` and `sweep`: the config and its assignment,
+    checked against h, then the run directory with config.json, and the
+    profile with profile.json.  Returns (config, assignment, run_dir,
+    profile)."""
     config = build_cli_config(args)
     assignment = build_assignment(config.sigma)
     if assignment.h != config.h:
         raise ConfigError(
             f"sigma has {assignment.h} entries but h is {config.h}"
         )
-    beta = float(args.beta)
-    if beta < 0:
-        raise ConfigError("beta must be nonnegative")
-    run_dir = make_run_dir(config, "solve", args.label)
+    run_dir = make_run_dir(config, kind, args.label)
     save_config(config, os.path.join(run_dir, "config.json"))
     profile = compute_profile(config)
     write_profile(run_dir, profile)
-    solver_cfg = config.solver_config()
+    return config, assignment, run_dir, profile
+
+
+def cmd_solve(args) -> int:
+    beta = float(args.beta)
+    if beta < 0:
+        raise ConfigError("beta must be nonnegative")
+    config, assignment, run_dir, profile = _start_run(args, "solve")
     if beta == 0.0:
-        record = newton_refine(
-            0.0, initial_guess(profile, assignment),
-            config=solver_cfg, target=profile,
-        )
+        record = newton_refine(0.0, initial_guess(profile, assignment),
+                               target=profile)
     else:
-        records = continuation(
-            profile, assignment, replace(solver_cfg, beta_schedule=(beta,))
-        )
+        records = continuation(profile, assignment,
+                               SolverConfig(beta_schedule=(beta,)))
         if not records:
             raise SolveError(f"no converged state at coupling {beta:g}")
         record = records[0]
@@ -306,16 +308,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = build_cli_config(args)
-    assignment = build_assignment(config.sigma)
-    if assignment.h != config.h:
-        raise ConfigError(
-            f"sigma has {assignment.h} entries but h is {config.h}"
-        )
-    run_dir = make_run_dir(config, "sweep", args.label)
-    save_config(config, os.path.join(run_dir, "config.json"))
-    profile = compute_profile(config)
-    write_profile(run_dir, profile)
+    config, assignment, run_dir, profile = _start_run(args, "sweep")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", StageFailure)
         records = continuation(profile, assignment, config.solver_config())
@@ -398,7 +391,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--r-max", type=float, dest="r_max")
     parser.add_argument("--h", type=int, help="number of pulses")
     parser.add_argument("--sigma", help="component assignment, e.g. 1,2,1,3,2")
-    parser.add_argument("--newton-tol", type=float, dest="newton_tol")
     parser.add_argument("--tol-nehari", type=float, dest="tol_nehari")
     parser.add_argument("--out", help="output directory root")
     parser.add_argument("--label", help="run directory name instead of timestamp")

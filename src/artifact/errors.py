@@ -67,7 +67,3 @@ class StageFailure(UserWarning):
     """A schedule stage failed and is absent from the records; the message
     names the cause.  Each stage starts from its own walked state, so the
     other stages are unaffected."""
-
-
-class NegativityPersistent(UserWarning):
-    """A component stayed negative on part of the grid after damping."""

@@ -31,6 +31,9 @@ from .errors import (
 )
 from .grid import RadialGrid, h1_inner, h1_norm_sq, lp_integral
 
+# gradient norm of the scaling energy under which its maximizer stops
+GRADIENT_TOL = 1e-10
+
 
 @dataclass
 class PulseEnsemble:
@@ -80,7 +83,6 @@ class MaximizerReport:
     hessian_negdef: bool
     min_lambda: float
     radius_sq: float
-    miranda_box: Optional[tuple] = None
 
     def to_dict(self) -> dict:
         return {
@@ -90,7 +92,6 @@ class MaximizerReport:
             "hessian_negdef": self.hessian_negdef,
             "min_lambda": self.min_lambda,
             "radius_sq": self.radius_sq,
-            "miranda_box": list(self.miranda_box) if self.miranda_box else None,
         }
 
 
@@ -164,8 +165,9 @@ def _poly(Q, D, lam):
     return (0.5 * lam @ Q @ lam + 0.25 * lam @ D3, Q @ lam + D3, Q + 3.0 * D2)
 
 
-def _stationary(Q, lam, gn, tol):
-    """Saddle stationarity, relative to the gradient's scale |Q lam|.
+def _stationary(Q, lam, gn):
+    """Saddle stationarity: gn within GRADIENT_TOL of zero relative to the
+    gradient's scale |Q lam|.
 
     At a converged branch state the gradient at the ones vector is
     roundoff of terms of size |Q lam|, and its size depends on the path
@@ -173,11 +175,10 @@ def _stationary(Q, lam, gn, tol):
     beta = 1 to 3, where |Q lam| is 280 to 370.  An absolute threshold
     would type a saddle by chance.
     """
-    return gn <= tol * max(1.0, float(np.linalg.norm(Q @ lam)))
+    return gn <= GRADIENT_TOL * max(1.0, float(np.linalg.norm(Q @ lam)))
 
 
-def maximize_phi(beta: float, ensemble: PulseEnsemble, x0=None, tol: float = 1e-10,
-                 compute_miranda: bool = False) -> MaximizerReport:
+def maximize_phi(beta: float, ensemble: PulseEnsemble, x0=None) -> MaximizerReport:
     """Maximize the scaling energy over positive scalings.
 
     Modified Newton from the ones vector (or x0) on the polynomial form
@@ -185,9 +186,9 @@ def maximize_phi(beta: float, ensemble: PulseEnsemble, x0=None, tol: float = 1e-
     pass; backtracking keeps positivity.  Raises DegeneratePulse on a
     vanishing pulse, UnboundedEnergy when one of 64 fixed rays (seed 1905)
     has nonnegative quartic growth or the iterates diverge, SaddleScaling
-    at a stationary point whose Hessian is not negative definite (the
-    gradient within tol of zero relative to |Q lam|, see `_stationary`),
-    and NonConvergence when the gradient tolerance is not reached.
+    at a stationary point whose Hessian is not negative definite (see
+    `_stationary`), and NonConvergence when the gradient norm does not
+    fall under GRADIENT_TOL.
     """
     h = ensemble.assignment.h
     Q, D = _tensors(beta, ensemble)
@@ -209,8 +210,8 @@ def maximize_phi(beta: float, ensemble: PulseEnsemble, x0=None, tol: float = 1e-
         gn = np.linalg.norm(G)
         ev, V = np.linalg.eigh(H)
         # stop at a maximum, on divergence, or at a stationary saddle
-        if (gn < tol * 1e-2 or np.max(lam) > 1e8
-                or (ev.max() >= 0 and _stationary(Q, lam, gn, tol))):
+        if (gn < GRADIENT_TOL * 1e-2 or np.max(lam) > 1e8
+                or (ev.max() >= 0 and _stationary(Q, lam, gn))):
             break
         # modified Newton: cap eigenvalues below zero so the step is
         # always an ascent direction, pure Newton inside the basin
@@ -239,11 +240,12 @@ def maximize_phi(beta: float, ensemble: PulseEnsemble, x0=None, tol: float = 1e-
         raise UnboundedEnergy("scaling iterates diverged")
     gn = float(np.linalg.norm(G))
     ev = np.linalg.eigvalsh(H)
-    if ev.max() >= 0 and _stationary(Q, lam, gn, tol):
+    if ev.max() >= 0 and _stationary(Q, lam, gn):
         raise SaddleScaling(ev)
-    if gn >= tol:
-        raise NonConvergence(f"gradient norm {gn:.2e} above tolerance {tol:.1e}")
-    box = miranda_box(beta, ensemble) if compute_miranda else None
+    if gn >= GRADIENT_TOL:
+        raise NonConvergence(
+            f"gradient norm {gn:.2e} above tolerance {GRADIENT_TOL:.1e}"
+        )
     return MaximizerReport(
         lambda_bar=LambdaVector(lam),
         m_value=float(phi(beta, ensemble, lam)),
@@ -251,7 +253,6 @@ def maximize_phi(beta: float, ensemble: PulseEnsemble, x0=None, tol: float = 1e-
         hessian_negdef=True,  # otherwise SaddleScaling was raised
         min_lambda=float(np.min(lam)),
         radius_sq=float(np.dot(lam, lam)),
-        miranda_box=box,
     )
 
 

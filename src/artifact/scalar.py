@@ -274,13 +274,14 @@ def _newton(lo, di, up, u, tol, maxit):
 
 def _polish(grid: RadialGrid, j0: int, j1: int, u):
     """Newton on the nodes j0..j1-1 from u, zero at every other node;
-    returns (field on the full grid, residual)."""
+    returns (field on the full grid, max-norm residual, converged), the
+    last under the row rule of `_newton` with tol 1e-12."""
     out = np.zeros(grid.n_points)
-    out[j0:j1], resid, _, _ = _newton(
+    out[j0:j1], resid, _, ok = _newton(
         grid.op_lower[j0 : j1 - 1], grid.op_diag[j0:j1],
         grid.op_upper[j0 : j1 - 1], u[j0:j1], 1e-12, 60,
     )
-    return out, resid
+    return out, resid, ok
 
 
 def nehari_project_scalar(grid: RadialGrid, u) -> np.ndarray:
@@ -305,7 +306,8 @@ def _split_profile(grid: RadialGrid, h: int, cuts, starts, tol_nehari: float,
 
     Bump l is polished from starts[l] on the nodes strictly between its
     cuts (bump 0 keeps its axis node; the last stops before the Dirichlet
-    node at r_max) and clipped at zero.  Such a bump satisfies the
+    node at r_max) and clipped at zero; a polish that does not converge
+    under the row rule of `_newton` raises.  Such a bump satisfies the
     constraint under the global quadrature; one that misses it by more
     than tol_nehari relative raises.  ``extra`` fills the other fields.
     """
@@ -313,8 +315,8 @@ def _split_profile(grid: RadialGrid, h: int, cuts, starts, tol_nehari: float,
     bumps = []
     for l in range(h):
         j0 = 0 if l == 0 else bounds[l] + 1
-        b, resid = _polish(grid, j0, bounds[l + 1], starts[l])
-        if resid > 1e-8:
+        b, resid, ok = _polish(grid, j0, bounds[l + 1], starts[l])
+        if not ok:
             raise NewtonDivergence(f"bump {l + 1} resolve stalled at {resid:.2e}")
         bumps.append(np.maximum(b, 0.0))
     energies = [free_energy(grid, b) for b in bumps]
@@ -339,8 +341,9 @@ def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> N
         raise ConfigError(f"h must be at least 1, got {h}")
     r, dr = grid.nodes, grid.dr
     a = _bisect_amplitude(grid, h)
-    W, resid = _polish(grid, 0, grid.n_points - 1, shoot(grid, a).trajectory.values)
-    if resid > 1e-8:
+    W, resid, ok = _polish(grid, 0, grid.n_points - 1,
+                           shoot(grid, a).trajectory.values)
+    if not ok:
         raise NewtonDivergence(f"global polish stalled at residual {resid:.2e}")
     flips = [j for j in range(grid.n_points - 2) if W[j] * W[j + 1] < 0]
     if len(flips) != h - 1:

@@ -29,7 +29,6 @@ from .assignment import Assignment
 from .errors import (
     ConfigError,
     MaximizerFailure,
-    NegativityPersistent,
     NewtonDivergence,
     SolveError,
     StageFailure,
@@ -49,17 +48,19 @@ from .scalar import NodalProfile
 LAMBDA_UNIT_TOL = 1e-6
 # coupling of the anchor solve, where the segregated guess is nearly exact
 ANCHOR_BETA = 1e4
+# residual under which every coupled Newton row is converged (rows whose
+# terms are large converge at their roundoff instead, see grid.converged)
+NEWTON_TOL = 1e-10
+# max-norm residual under which a stage's state is accepted
+ACCEPT_RESIDUAL = 1e-8
 
 
 @dataclass
 class SolverConfig:
-    """Schedule and Newton tolerance; `outer_tol` and `max_iters` serve
-    only `minimize_m_beta`."""
+    """The coupling schedule of a continuation run: positive and strictly
+    increasing.  The solver's tolerances are module constants."""
 
     beta_schedule: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
-    outer_tol: float = 1e-7
-    newton_tol: float = 1e-10
-    max_iters: int = 150
 
     def __post_init__(self) -> None:
         sched = tuple(float(b) for b in self.beta_schedule)
@@ -70,11 +71,6 @@ class SolverConfig:
         if any(b2 <= b1 for b1, b2 in zip(sched, sched[1:])):
             raise ConfigError("beta_schedule must be strictly increasing")
         self.beta_schedule = sched
-        for name in ("outer_tol", "newton_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
 
 
 @dataclass
@@ -136,7 +132,7 @@ def _cross_sq(U: np.ndarray) -> np.ndarray:
     Summed term by term rather than as S - U_i^2 with S = sum_j U_j^2:
     the shortcut cancels where U_i dominates.  On the reference sweep's
     anchor state at beta = 1e7 it moves the residual by 1.3e-9, 13 times
-    the default Newton tolerance.
+    NEWTON_TOL.
     """
     sq = U**2
     k = len(U)
@@ -275,15 +271,16 @@ def _row_terms(grid: RadialGrid, beta: float):
     return rows
 
 
-def _converged(grid: RadialGrid, beta: float, U: np.ndarray, F: np.ndarray,
-             tol: float) -> bool:
-    """`grid.converged` for the residual F of the coupled system at U."""
-    return converged(F, float(np.max(np.abs(F))), tol,
+def _converged(grid: RadialGrid, beta: float, U: np.ndarray,
+               F: np.ndarray) -> bool:
+    """`grid.converged` for the residual F of the coupled system at U,
+    under NEWTON_TOL."""
+    return converged(F, float(np.max(np.abs(F))), NEWTON_TOL,
                      _row_terms(grid, beta), U)
 
 
 def coupled_newton(grid: RadialGrid, beta: float, U: np.ndarray,
-                   tol: float = 1e-10, maxit: int = 60,
+                   tol: float = NEWTON_TOL, maxit: int = 60,
                    history: Optional[list] = None):
     """Damped banded Newton on the k-field system; returns (U, resid, iters)
     with resid the max-norm residual.
@@ -302,14 +299,17 @@ def coupled_newton(grid: RadialGrid, beta: float, U: np.ndarray,
     return U, resid, iters
 
 
-def minimize_m_beta(beta: float, start: PulseEnsemble, config: SolverConfig,
+def minimize_m_beta(beta: float, start: PulseEnsemble,
                     trace: Optional[list] = None) -> PulseEnsemble:
     """Descend the maximized scaling energy in the pulses.
 
     The descent direction is the preconditioned residual of the scaled
     components, weighted per pulse by its scaling (the scaling maximizer
     is critical, so no scaling derivative enters); Armijo backtracking
-    with positivity clipping, re-maximization each accepted step.
+    with positivity clipping, re-maximization each accepted step.  It
+    stops after 150 steps, at a gradient norm under 1e-7, or when
+    backtracking finds no decrease; `trace` collects the energy of the
+    start and of every accepted step.
     No continuation stage calls it: a walked stage state is already
     Newton-converged, and the descent takes no step from it.
     """
@@ -326,7 +326,7 @@ def minimize_m_beta(beta: float, start: PulseEnsemble, config: SolverConfig,
     M = coupled_energy(grid, beta, U)
     if trace is not None:
         trace.append(M)
-    for _ in range(config.max_iters):
+    for _ in range(150):
         lamfield = np.zeros((k, grid.n_points))
         for q in range(h):
             i = assignment.sigma[q] - 1
@@ -341,7 +341,7 @@ def minimize_m_beta(beta: float, start: PulseEnsemble, config: SolverConfig,
             act = ~((U[i] <= 0) & (D[i] > 0))
             gsq += np.dot(w, (rhs_ * D[i]) * act)
         gn = np.sqrt(max(gsq, 0.0))
-        if gn < config.outer_tol:
+        if gn < 1e-7:
             break
         t = 1.0
         ok = False
@@ -386,13 +386,16 @@ def _picard_step(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
 
 
 def _certify(beta: float, grid: RadialGrid, assignment: Assignment,
-             U: np.ndarray, centers, newton_tol: float,
+             U: np.ndarray, centers,
              target: Optional[NodalProfile]) -> SolutionRecord:
     """The record of a Newton-converged state U: its pulses, cut at the
-    given centers, and the scaling maximum that certifies them.
+    given centers, and the scaling maximum that certifies them.  It is
+    accepted when its residual lies under ACCEPT_RESIDUAL, its scalings
+    are 1 within LAMBDA_UNIT_TOL and the scaling Hessian is negative
+    definite.
 
     Between a component's pulses at strong coupling the true values
-    (1e-100 and below) lie far under the Newton tolerance, so U can be
+    (1e-100 and below) lie far under NEWTON_TOL, so U can be
     zero or negative there.  After clipping it, one Picard step per
     component solves (-Lap + 1 + beta T_i) V_i = U_i^3 with
     T_i = sum_{j != i} U_j^2.  That matrix is a strictly diagonally
@@ -430,7 +433,7 @@ def _certify(beta: float, grid: RadialGrid, assignment: Assignment,
         overlaps=overlaps,
         in_nehari=in_nehari,
         hessian_negdef=rep.hessian_negdef,
-        accepted=bool(resid < max(1e-8, newton_tol * 10))
+        accepted=bool(resid < ACCEPT_RESIDUAL)
         and in_nehari
         and rep.hessian_negdef,
         maximizer=rep,
@@ -438,29 +441,21 @@ def _certify(beta: float, grid: RadialGrid, assignment: Assignment,
 
 
 def newton_refine(beta: float, ensemble: PulseEnsemble,
-                  config: Optional[SolverConfig] = None,
                   target: Optional[NodalProfile] = None) -> SolutionRecord:
     """Solve the coupled system by damped Newton from the scaled ensemble
     and certify the result (see `_certify`), cutting it at the pulse
     maxima of the ensemble.  `artifact solve` uses it at zero coupling,
     where no branch is walked.
     """
-    if config is None:
-        config = SolverConfig()
     grid = ensemble.grid
     assignment = ensemble.assignment
     report = maximize_phi(beta, ensemble)
     U0 = ensemble.components(report.lambda_bar.values)
-    U, resid, _ = coupled_newton(grid, beta, U0, tol=config.newton_tol, maxit=80)
-    if resid > max(1e-8, config.newton_tol * 10):
+    U, resid, _ = coupled_newton(grid, beta, U0, maxit=80)
+    if resid > ACCEPT_RESIDUAL:
         raise NewtonDivergence(f"coupled solve stalled at residual {resid:.2e}")
-    if U.min() < -1e-9:
-        warnings.warn(
-            f"component min {U.min():.2e} negative after damping",
-            NegativityPersistent,
-        )
     centers = [int(np.argmax(ensemble.pulses[q])) for q in range(assignment.h)]
-    return _certify(beta, grid, assignment, U, centers, config.newton_tol, target)
+    return _certify(beta, grid, assignment, U, centers, target)
 
 
 def _tangent(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
@@ -471,8 +466,8 @@ def _tangent(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
     return _jacobian_solver(grid, beta, U)(-dF)
 
 
-def _correct(grid: RadialGrid, beta: float, U: np.ndarray,
-             tol: float) -> Optional[np.ndarray]:
+def _correct(grid: RadialGrid, beta: float,
+             U: np.ndarray) -> Optional[np.ndarray]:
     """Full-step Newton from a predicted state; the converged state, or
     None once the trial is judged outside the Newton basin.
 
@@ -486,7 +481,7 @@ def _correct(grid: RadialGrid, beta: float, U: np.ndarray,
     A state is converged under the rule of `coupled_newton` (`_converged`).
     """
     F = residual_components(grid, beta, U)
-    done = _converged(grid, beta, U, F, tol)
+    done = _converged(grid, beta, U, F)
     for _ in range(20):
         if done:
             return U
@@ -494,15 +489,14 @@ def _correct(grid: RadialGrid, beta: float, U: np.ndarray,
         dU = solve(-F)
         U = U + dU
         F = residual_components(grid, beta, U)
-        done = _converged(grid, beta, U, F, tol)
+        done = _converged(grid, beta, U, F)
         if not done and not (
                 np.max(np.abs(solve(-F))) < 0.5 * np.max(np.abs(dU))):
             return None
     return U if done else None
 
 
-def _walk_beta(grid: RadialGrid, U, b_from: float, targets,
-               tol: float = 1e-10):
+def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
     """Walk the branch from a converged state at b_from through targets.
 
     The targets are couplings in walking order, all on one side of
@@ -526,7 +520,7 @@ def _walk_beta(grid: RadialGrid, U, b_from: float, targets,
                 tangent = _tangent(grid, 10.0**pos, U)
             trial = pos + step if abs(step) < abs(lt - pos) else lt
             beta = b_to if trial == lt else 10.0**trial
-            U2 = _correct(grid, beta, U + (trial - pos) * tangent, tol)
+            U2 = _correct(grid, beta, U + (trial - pos) * tangent)
             solves += 1
             if U2 is not None:
                 U, pos, tangent = U2, trial, None
@@ -564,17 +558,13 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     guess = initial_guess(profile, assignment)
     schedule = config.beta_schedule
     anchor = max(ANCHOR_BETA, schedule[0])
-    U, res, _ = coupled_newton(
-        grid, anchor, guess.components(), tol=config.newton_tol, maxit=120
-    )
-    if not _converged(grid, anchor, U, residual_components(grid, anchor, U),
-                    config.newton_tol):
+    U, res, _ = coupled_newton(grid, anchor, guess.components(), maxit=120)
+    if not _converged(grid, anchor, U, residual_components(grid, anchor, U)):
         raise NewtonDivergence(f"anchor solve stalled at residual {res:.2e}")
     states, stalls = {}, {}
     for targets in ([b for b in reversed(schedule) if b <= anchor],
                     [b for b in schedule if b > anchor]):
-        walked, reached = _walk_beta(grid, U, anchor, targets,
-                                     tol=config.newton_tol)
+        walked, reached = _walk_beta(grid, U, anchor, targets)
         states.update(zip(targets, walked))
         for beta in targets[len(walked):]:
             stalls[beta] = NewtonDivergence(
@@ -592,7 +582,7 @@ def continuation(profile: NodalProfile, assignment: Assignment,
                 grid, assignment, states[beta], reference=reference
             )
             records.append(_certify(beta, grid, assignment, states[beta],
-                                    centers, config.newton_tol, profile))
+                                    centers, profile))
         except SolveError as exc:
             warnings.warn(
                 f"stage beta={beta:g} failed: {exc}",

@@ -70,6 +70,16 @@ def test_solve_rejects_sigma_length_mismatch(tmp_path, capsys):
     assert rc == 2
 
 
+def test_solve_rejects_negative_beta_before_the_run_dir(tmp_path, capsys):
+    rc, out, err = run_cli([
+        "solve", "--beta", "-1", "--dim", "2", "--n-points", "513",
+        "--r-max", "30", "--h", "2", "--sigma", "1,2", "--out", str(tmp_path),
+    ], capsys)
+    assert rc == 2
+    assert "beta" in json.loads(err.strip())["message"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_uncoupled_reproduces_reference(tmp_path, capsys):
     rc, out, err = run_cli([
         "solve", "--beta", "0", "--dim", "1", "--n-points", "513",
@@ -218,18 +228,20 @@ def test_unknown_config_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("outer_tol", 1e-7), ("epsilon", 0.5),
-                                        ("seed", 7)],
-                         ids=["outer_tol", "epsilon", "seed"])
+                                        ("seed", 7), ("newton_tol", 1e-9)],
+                         ids=["outer_tol", "epsilon", "seed", "newton_tol"])
 def test_legacy_outer_tol_key_is_dropped(tmp_path, key, value):
     # config.json of older runs carries the descent's outer_tol, the trust
-    # distance epsilon and the probe seed of report; none is read any more
+    # distance epsilon, the probe seed of report and the coupled Newton
+    # tolerance; none is read any more
     cfg = cli.ExperimentConfig(output_dir=str(tmp_path))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(cfg.to_dict(), **{key: value})))
     assert cli.load_config(path) == cfg
     flag = "--" + key.replace("_", "-")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["scalar", flag, str(value)])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("entry", [{"sigma": [1, 2.5, 1]}, {"sigma": ["x"]},

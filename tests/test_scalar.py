@@ -351,6 +351,35 @@ def test_fine_cells_accept_their_first_polish(monkeypatch):
         assert len(calls) == 1, (l, len(calls))
 
 
+def test_fine_profiles_accept_polishes_at_the_roundoff_of_their_rows():
+    # on (3, 16385, 20) roundoff in rows of size ~1/dr^2 keeps converged
+    # polishes above a fixed max-norm 1e-8 (the global polish at 4.2e-8,
+    # the partition's bump 1 at 6.0e-8); judged row by row, both routes
+    # finish and agree
+    g = af.build_grid(3, 16385, 20.0)
+    part = af.compute_c_infinity(g, 5)
+    shoot = af.find_nodal_solution(g, 5)
+    assert shoot.residual > 1e-8
+    assert abs(part.c_value - shoot.c_value) <= 1e-12 * shoot.c_value
+    gap = np.max(np.abs(np.subtract(part.node_radii, shoot.node_radii)))
+    assert gap < 0.01 * g.dr
+
+
+def test_unconverged_polish_raises(monkeypatch):
+    newton = af.scalar._newton
+
+    def stalled(*args):
+        u, resid, steps, _ = newton(*args)
+        return u, resid, steps, False
+
+    monkeypatch.setattr(af.scalar, "_newton", stalled)
+    g = af.build_grid(2, 1025, 30.0)
+    with pytest.raises(af.NewtonDivergence, match="global polish stalled"):
+        af.find_nodal_solution(g, 2)
+    with pytest.raises(af.NewtonDivergence, match="bump 1 resolve stalled"):
+        af.scalar._split_profile(g, 1, [], [np.exp(-g.nodes**2)], 1e-8)
+
+
 @pytest.mark.parametrize("dim, n, r_max, h", [(1, 1025, 16.0, 3),
                                                (2, 2049, 30.0, 5),
                                                (3, 4097, 40.0, 3)])

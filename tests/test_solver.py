@@ -15,9 +15,6 @@ import artifact as af
     {"beta_schedule": (-1.0,)},
     {"beta_schedule": (1.0, 1.0)},
     {"beta_schedule": (10.0, 1.0)},
-    {"outer_tol": -1e-7},
-    {"newton_tol": 0.0},
-    {"max_iters": 0},
 ])
 def test_solver_config_rejects(kw):
     with pytest.raises(af.ConfigError):
@@ -103,9 +100,8 @@ def test_residual_localizes_at_interfaces(guess_h2, profile_h2):
 
 
 def test_minimize_zero_step_at_huge_coupling(guess_h2, profile_h2):
-    cfg = af.SolverConfig(beta_schedule=(100.0,))
     tr = []
-    out = af.minimize_m_beta(1e10, guess_h2, cfg, trace=tr)
+    out = af.minimize_m_beta(1e10, guess_h2, trace=tr)
     assert np.array_equal(out.pulses, guess_h2.pulses)
     assert len(tr) == 1
     rep = af.maximize_phi(1e10, out)
@@ -113,9 +109,8 @@ def test_minimize_zero_step_at_huge_coupling(guess_h2, profile_h2):
 
 
 def test_minimize_descends_at_moderate_coupling(guess_h2, profile_h2):
-    cfg = af.SolverConfig(beta_schedule=(100.0,))
     tr = []
-    out = af.minimize_m_beta(100.0, guess_h2, cfg, trace=tr)
+    out = af.minimize_m_beta(100.0, guess_h2, trace=tr)
     assert len(tr) >= 2
     assert np.all(np.diff(tr) < 0)
     rep = af.maximize_phi(100.0, out)
@@ -129,14 +124,12 @@ def test_minimize_propagates_start_failure():
     r = g.nodes
     p = np.exp(-((r - 6.0) ** 2))
     ens = af.PulseEnsemble(g, af.build_assignment((1, 2)), np.array([p, p]))
-    cfg = af.SolverConfig(beta_schedule=(50.0,))
     with pytest.raises(af.MaximizerFailure):
-        af.minimize_m_beta(50.0, ens, cfg)
+        af.minimize_m_beta(50.0, ens)
 
 
 def test_newton_refine_from_reference(guess_h2, profile_h2):
-    cfg = af.SolverConfig(beta_schedule=(1000.0,))
-    rec = af.newton_refine(1000.0, guess_h2, config=cfg, target=profile_h2)
+    rec = af.newton_refine(1000.0, guess_h2, target=profile_h2)
     assert rec.residual < 1e-8
     assert rec.in_nehari
     assert rec.hessian_negdef
@@ -163,15 +156,14 @@ def test_newton_refine_restores_positivity_between_pulses():
     g = af.build_grid(2, 1025, 30.0)
     prof = af.find_nodal_solution(g, 3)
     asg = af.build_assignment((1, 2, 1))
-    cfg = af.SolverConfig(beta_schedule=(1e4,))
-    rec = af.newton_refine(1e4, af.initial_guess(prof, asg), config=cfg)
+    rec = af.newton_refine(1e4, af.initial_guess(prof, asg))
     P = rec.ensemble.pulses.copy()
     P[P < 1e-30] = 0.0
     clipped = af.PulseEnsemble(g, asg, P)
     u = clipped.components(rec.lambda_bar)[0]
     idx = np.flatnonzero(u > 1e-8 * u.max())
     assert np.count_nonzero(u[idx[0] : idx[-1] + 1] == 0.0) > 0
-    rec = af.newton_refine(1e4, clipped, config=cfg)
+    rec = af.newton_refine(1e4, clipped)
     assert rec.accepted
     U = rec.ensemble.components(rec.lambda_bar)
     assert np.all(U >= 0.0)
@@ -241,8 +233,8 @@ def test_continuation_makes_one_newton_call_of_its_own(profile_h2, assignment_h2
 def test_walk_stall_fails_only_the_stages_beyond_it(profile_h2, assignment_h2,
                                                     monkeypatch):
     real = af.solver._correct
-    def reject_weak(grid, beta, U, tol):
-        return None if beta < 50.0 else real(grid, beta, U, tol)
+    def reject_weak(grid, beta, U):
+        return None if beta < 50.0 else real(grid, beta, U)
     monkeypatch.setattr("artifact.solver._correct", reject_weak)
     cfg = af.SolverConfig(beta_schedule=(1.0, 10.0, 100.0))
     with pytest.warns(af.StageFailure) as caught:
@@ -316,7 +308,7 @@ def test_jacobian_solver_matches_solve_banded(k, rng):
 
 def test_fine_grid_anchor_accepts_at_the_roundoff_of_its_rows():
     # on (3, 4097, 30) the anchor solve's residual stays at 1.5e-10, above
-    # newton_tol = 1e-10, from roundoff in rows of size ~1/dr^2; judged
+    # NEWTON_TOL = 1e-10, from roundoff in rows of size ~1/dr^2; judged
     # row by row against that roundoff, every stage is accepted
     g = af.build_grid(3, 4097, 30.0)
     profile = af.compute_c_infinity(g, 3)
