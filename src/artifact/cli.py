@@ -264,16 +264,22 @@ def cmd_scalar(args) -> int:
     return 0
 
 
-def _start_run(args, kind: str):
+def _start_run(args, kind: str, beta=None):
     """The start of `solve` and `sweep`: the config and its assignment,
-    checked against h, then the run directory with config.json, and the
-    profile with profile.json.  Returns (config, assignment, run_dir,
-    profile)."""
+    checked against h and against the coupling ``beta`` of a solve, then
+    the run directory with config.json, and the profile with
+    profile.json.  Returns (config, assignment, run_dir, profile)."""
     config = build_cli_config(args)
     assignment = build_assignment(config.sigma)
     if assignment.h != config.h:
         raise ConfigError(
             f"sigma has {assignment.h} entries but h is {config.h}"
+        )
+    if beta == 0.0 and config.h > 1:
+        raise ConfigError(
+            "at beta 0 the components decouple and each nonnegative one is "
+            "positive at every interior node, so no segregated state with "
+            f"h = {config.h} bumps exists"
         )
     run_dir = make_run_dir(config, kind, args.label)
     save_config(config, os.path.join(run_dir, "config.json"))
@@ -286,7 +292,7 @@ def cmd_solve(args) -> int:
     beta = float(args.beta)
     if beta < 0:
         raise ConfigError("beta must be nonnegative")
-    config, assignment, run_dir, profile = _start_run(args, "solve")
+    config, assignment, run_dir, profile = _start_run(args, "solve", beta)
     if beta == 0.0:
         record = newton_refine(0.0, initial_guess(profile, assignment),
                                target=profile)

@@ -11,7 +11,12 @@ import numpy as np
 from .assignment import Assignment
 from .errors import ConfigError
 from .grid import RadialGrid, h1_norm_sq
-from .nehari import MaximizerReport, PulseEnsemble, coupled_energy
+from .nehari import (
+    MaximizerReport,
+    PulseEnsemble,
+    coupled_energy,
+    overlap_matrix,
+)
 from .scalar import NodalProfile
 from .solver import (
     LAMBDA_UNIT_TOL,
@@ -74,14 +79,7 @@ def d_sigma_distance(ensemble: PulseEnsemble, profile: NodalProfile,
 
 def overlap_report(beta: float, grid: RadialGrid, components: np.ndarray):
     """Pairwise squared-density overlaps and their beta-weighted copy."""
-    U = np.asarray(components, float)
-    k = U.shape[0]
-    w = grid.quad_weights
-    ovl = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                ovl[i, j] = np.dot(w, U[i] ** 2 * U[j] ** 2)
+    ovl = overlap_matrix(grid, np.asarray(components, float))
     return ovl, beta * ovl
 
 

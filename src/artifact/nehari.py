@@ -95,6 +95,18 @@ class MaximizerReport:
         }
 
 
+def overlap_matrix(grid: RadialGrid, U: np.ndarray) -> np.ndarray:
+    """The symmetric k x k matrix of int U_i^2 U_j^2, zero on the
+    diagonal."""
+    k = U.shape[0]
+    w = grid.quad_weights
+    ovl = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            ovl[i, j] = ovl[j, i] = np.dot(w, U[i] ** 2 * U[j] ** 2)
+    return ovl
+
+
 def coupled_energy(grid: RadialGrid, beta: float, U: np.ndarray) -> float:
     """Energy of component fields: sum of the single-field free energies
     plus the quartic cross term weighted by beta/4."""
@@ -103,10 +115,8 @@ def coupled_energy(grid: RadialGrid, beta: float, U: np.ndarray) -> float:
     val = 0.0
     for i in range(k):
         val += 0.5 * h1_norm_sq(grid, U[i]) - 0.25 * np.dot(w, U[i] ** 4)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                val += 0.25 * beta * np.dot(w, U[i] ** 2 * U[j] ** 2)
+    for x in overlap_matrix(grid, U)[~np.eye(k, dtype=bool)]:
+        val += 0.25 * beta * x
     return float(val)
 
 
@@ -271,10 +281,8 @@ def miranda_box(beta: float, ensemble: PulseEnsemble) -> Optional[tuple]:
     k = ensemble.assignment.k
     w = grid.quad_weights
     scale = max(np.dot(w, U[i] ** 4) for i in range(k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.dot(w, U[i] ** 2 * U[j] ** 2) > 1e-12 * max(scale, 1e-30):
-                return None
+    if np.any(overlap_matrix(grid, U) > 1e-12 * max(scale, 1e-30)):
+        return None
     a = np.array([h1_norm_sq(grid, p) for p in ensemble.pulses])
     b = np.array([lp_integral(grid, p, 4) for p in ensemble.pulses])
     if np.any(a <= 0) or np.any(b <= 0):

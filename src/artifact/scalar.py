@@ -8,9 +8,9 @@ Two independent routes to the same object:
   on the nodes and a damped Newton polish of the discrete boundary value
   problem, whose zeros are the interface radii.
 * ``compute_c_infinity``: direct minimization of the summed bump energies
-  over the interface radii (dynamic-programming seed on a coarse radius
-  set, then Newton on the exact radius derivatives of the cell energies in
-  the continuous radii).
+  over the interface radii (seeded by the least-energy chain of cells
+  whose edges lie on a coarse radius set, then Newton on the exact radius
+  derivatives of the cell energies in the continuous radii).
 
 Both end in one finisher, ``_split_profile``: each bump is polished on the
 grid nodes between the interfaces nearest the radii, from the polished
@@ -26,6 +26,8 @@ zero values outside: the global field, each bump and each cell.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,10 +54,8 @@ from .grid import (
 )
 
 DECAYED = "Decayed"
-BLEW_UP = "Blew_up"
 OSCILLATING = "Oscillating"
 
-BLOWUP_LIMIT = 1.0e6
 SIGN_DEADBAND = 1e-12
 
 
@@ -108,21 +108,17 @@ def count_sign_changes(values: np.ndarray, deadband: float = SIGN_DEADBAND) -> i
 def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
     """Integrate outward from w(0)=amplitude, w'(0)=0 and classify the tail.
 
-    Integration stops early in two cases: |w| reaching the blow-up limit,
-    and a clean decay below the floor min(1e-5, amplitude/100) with |w'|
-    equally small.  Past that floor the growing mode dominates any
-    numerical trajectory, so the tail is continued with the known e^{-r}
-    rate instead of being integrated.  Sign changes are counted as the
-    integrator's zero crossings of w: node samples would miss zeros closer
-    together than dr.
+    The energy E = w'^2/2 - w^2/2 + w^4/4 never rises along r
+    (dE/dr = -(N-1)/r w'^2), so |w| <= max(amplitude, sqrt(2)) on every
+    shot and no shot blows up.  Integration stops early on a clean decay
+    below the floor min(1e-5, amplitude/100) with |w'| equally small.
+    Past that floor the growing mode dominates any numerical trajectory,
+    so the tail is continued with the known e^{-r} rate instead of being
+    integrated.  Sign changes are counted as the integrator's zero
+    crossings of w: node samples would miss zeros closer together than dr.
     """
     if not amplitude > 0:
         raise ConfigError("amplitude must be positive")
-
-    def blow(t, y):
-        return abs(y[0]) - BLOWUP_LIMIT
-
-    blow.terminal = True
     floor = min(1e-5, 1e-2 * amplitude)
 
     def decay(t, y):
@@ -142,26 +138,17 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
         t_eval=grid.nodes,
         rtol=1e-12,
         atol=1e-14,
-        events=(blow, decay, zero),
+        events=(decay, zero),
     )
     if sol.status == -1:
         raise StepFailure(sol.message)
     n = grid.n_points
     vals = np.zeros(n)
-    got = len(sol.t)
-    vals[:got] = sol.y[0]
+    vals[: len(sol.t)] = sol.y[0]
     behavior = OSCILLATING
-    if sol.status == 1 and len(sol.t_events[0]) > 0:
-        # blow-up: clamp the unreached tail at the limit
+    if sol.status == 1:
         r_stop = sol.t_events[0][0]
-        tail = grid.nodes >= r_stop
-        vals[tail] = np.sign(sol.y_events[0][0][0]) * BLOWUP_LIMIT
-        if got and abs(vals[got - 1]) < 1e-3:
-            vals[got - 1 :][tail[got - 1 :]] = vals[got - 1]
-        behavior = BLEW_UP
-    elif sol.status == 1 and len(sol.t_events[1]) > 0:
-        r_stop = sol.t_events[1][0]
-        u_stop = sol.y_events[1][0][0]
+        u_stop = sol.y_events[0][0][0]
         tail = grid.nodes >= r_stop
         vals[tail] = u_stop * np.exp(-(grid.nodes[tail] - r_stop))
         behavior = DECAYED
@@ -171,11 +158,9 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
         decreasing = seg[-1] <= seg[0] and np.max(seg) <= max(seg[0], 1e-8)
         if aw[-1] < 1e-8 and decreasing:
             behavior = DECAYED
-        elif aw[-1] > 1e3:
-            behavior = BLEW_UP
     return ShotResult(
         initial_amplitude=float(amplitude),
-        sign_changes=len(sol.t_events[2]),
+        sign_changes=len(sol.t_events[1]),
         terminal_behavior=behavior,
         trajectory=RadialField(grid, vals),
     )
@@ -300,9 +285,10 @@ def free_energy(grid: RadialGrid, u) -> float:
     return 0.5 * h1_norm_sq(grid, u) - 0.25 * lp_integral(grid, u, 4)
 
 
-def _split_profile(grid: RadialGrid, h: int, cuts, starts, tol_nehari: float,
+def _split_profile(grid: RadialGrid, h: int, radii, starts, tol_nehari: float,
                    **extra) -> NodalProfile:
-    """The profile whose bumps solve the grid problem between the cuts.
+    """The profile with interface radii ``radii`` whose bumps solve the
+    grid problem between the nodes nearest them, the cuts.
 
     Bump l is polished from starts[l] on the nodes strictly between its
     cuts (bump 0 keeps its axis node; the last stops before the Dirichlet
@@ -311,6 +297,7 @@ def _split_profile(grid: RadialGrid, h: int, cuts, starts, tol_nehari: float,
     constraint under the global quadrature; one that misses it by more
     than tol_nehari relative raises.  ``extra`` fills the other fields.
     """
+    cuts = [int(round(x / grid.dr)) for x in radii]
     bounds = [0, *cuts, grid.n_points - 1]
     bumps = []
     for l in range(h):
@@ -327,7 +314,8 @@ def _split_profile(grid: RadialGrid, h: int, cuts, starts, tol_nehari: float,
                 f"bump {l + 1} misses the constraint by {defect:.2e}"
             )
     return NodalProfile(grid=grid, h=h, bumps=bumps, energies=energies,
-                        c_value=float(sum(energies)), **extra)
+                        c_value=float(sum(energies)),
+                        node_radii=tuple(float(x) for x in radii), **extra)
 
 
 def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> NodalProfile:
@@ -351,11 +339,9 @@ def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> N
             f"polished field has {len(flips)} interior zeros, wanted {h - 1}"
         )
     zeros = [r[j] - W[j] * dr / (W[j + 1] - W[j]) for j in flips]
-    return _split_profile(
-        grid, h, [int(round(z / dr)) for z in zeros], [np.abs(W)] * h,
-        tol_nehari, node_radii=tuple(float(z) for z in zeros), solution=W,
-        residual=float(resid), amplitude=float(a),
-    )
+    return _split_profile(grid, h, zeros, [np.abs(W)] * h, tol_nehari,
+                          solution=W, residual=float(resid),
+                          amplitude=float(a))
 
 
 def bump_constants(profile: NodalProfile):
@@ -383,8 +369,7 @@ def annulus_ground_state(grid: RadialGrid, r_lo: float, r_hi: float,
     """
     if not 0 <= r_lo <= r_hi <= grid.r_max + 1e-12:
         raise ConfigError(f"bad annulus [{r_lo}, {r_hi}]")
-    out, J, _ = _annulus_cont(grid, r_lo, r_hi, origin=(r_lo == 0.0),
-                              u_init=u_init)
+    out, J, _ = _annulus_cont(grid, r_lo, r_hi, u_init=u_init)
     if out is None:
         raise EmptyAnnulus(
             f"annulus ({r_lo:.4g}, {r_hi:.4g}) has too few interior nodes"
@@ -392,13 +377,14 @@ def annulus_ground_state(grid: RadialGrid, r_lo: float, r_hi: float,
     return out, float(J)
 
 
-def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None):
+def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
     """Annulus ground state with continuous boundary radii a < b.
 
     Unknowns are grid nodes strictly inside (a, b); the boundary sits
     between nodes, entering through partial-interval flux and quadrature
     terms so the energy varies smoothly with a and b.  At a = r[jlo],
     b = r[jhi] the cell is the grid problem on the nodes jlo < j < jhi.
+    a = 0 is the center ball, whose unknowns start at the axis node.
     Returns (field on the full grid, energy, (dE/da, dE/db)), or
     (None, inf, None) when fewer than 8 nodes lie inside; dE/da is 0 for
     the center ball.  The descent's preconditioner, the cell's -Lap+1, is
@@ -409,6 +395,7 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None):
     r, dr = grid.nodes, grid.dr
     dim = grid.dimension
     sN = grid.sphere_measure
+    origin = a == 0.0
     if origin:
         jfirst = 0
     else:
@@ -560,62 +547,33 @@ def _annulus_cont(grid: RadialGrid, a, b, origin=False, u_init=None):
 
 
 def _partition_seed(grid: RadialGrid, h: int):
-    """Integer interface seed: the best chain of cells whose edges lie on
-    a coarse radius set (geometric offsets from the axis, doubling, plus
-    six evenly spaced nodes), found by dynamic programming.  It only has
-    to land in the optimum's basin; ``_stationary_radii`` refines it.
-    Cell solves are cold so the energies are deterministic."""
-    r = grid.nodes
+    """Integer interface seed: the least-energy chain of h cells whose
+    interior edges lie on a coarse radius set (geometric offsets from the
+    axis, doubling, plus six evenly spaced nodes), a cell with fewer than
+    8 nodes costing inf.  It only has to land in the optimum's basin;
+    ``_stationary_radii`` refines it.  Each distinct cell is solved once
+    and cold, so the energies are deterministic."""
     last = grid.n_points - 1
-    cache = {}
-
-    def cellE(jlo, jhi, inc):
-        key = (jlo, jhi, inc)
-        if key not in cache:
-            cache[key] = _annulus_cont(grid, r[jlo], r[jhi], origin=inc)[1]
-        return cache[key]
-
     if h == 1:
         return [0, last]
-    # the objective is a chain sum over cells, so a dynamic program over a
-    # coarse candidate set finds the global basin
-    cand0 = set()
+    cand = {int(x) for x in np.linspace(8, last - 8, 6)}
     off = 8
     while off < last - 8:
-        cand0.add(off)
+        cand.add(off)
         off = 2 * off + 1
-    cand0.update(int(x) for x in np.linspace(8, last - 8, 6))
-    C = sorted(cand0)
-    INF = float("inf")
-    D = [[INF] * len(C) for _ in range(h - 1)]
-    back = [[-1] * len(C) for _ in range(h - 1)]
-    for jj, j in enumerate(C):
-        D[0][jj] = cellE(0, j, True)
-    for l in range(1, h - 1):
-        for jj, j in enumerate(C):
-            for ii, i2 in enumerate(C):
-                if i2 > j - 8:
-                    break
-                if D[l - 1][ii] == INF:
-                    continue
-                E = D[l - 1][ii] + cellE(i2, j, False)
-                if E < D[l][jj]:
-                    D[l][jj] = E
-                    back[l][jj] = ii
-    bestE, bestjj = INF, -1
-    for jj, j in enumerate(C):
-        if j > last - 8 or D[h - 2][jj] == INF:
-            continue
-        E = D[h - 2][jj] + cellE(j, last, False)
-        if E < bestE:
-            bestE, bestjj = E, jj
-    if bestjj < 0:
+
+    @functools.cache
+    def cell(jlo, jhi):
+        return _annulus_cont(grid, grid.nodes[jlo], grid.nodes[jhi])[1]
+
+    def total(cuts):
+        edges = (0, *cuts, last)
+        return sum(cell(i, j) for i, j in zip(edges, edges[1:]))
+
+    best = min(itertools.combinations(sorted(cand), h - 1), key=total, default=None)
+    if best is None or total(best) == np.inf:
         raise EmptyAnnulus(f"grid too coarse to host {h} bumps")
-    cuts = [C[bestjj]]
-    for l in range(h - 2, 0, -1):
-        bestjj = back[l][bestjj]
-        cuts.append(C[bestjj])
-    return [0] + cuts[::-1] + [last]
+    return [0, *best, last]
 
 
 def _stationary_radii(grid: RadialGrid, rho):
@@ -642,8 +600,7 @@ def _stationary_radii(grid: RadialGrid, rho):
             a, b = rho[l], rho[l + 1]
             s = a + (r - x[l]) * (b - a) / (x[l + 1] - x[l])
             u = np.interp(s, r, warm[l])
-        return _annulus_cont(grid, x[l], x[l + 1], origin=(l == 0),
-                             u_init=u)
+        return _annulus_cont(grid, x[l], x[l + 1], u_init=u)
 
     def cells(x):
         sols = [cell(l, x) for l in range(h)]
@@ -709,8 +666,5 @@ def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> No
     if h > 1:
         rho, starts = _stationary_radii(grid, rho)
     else:
-        starts = [_annulus_cont(grid, rho[0], rho[1], origin=True)[0]]
-    return _split_profile(
-        grid, h, [int(round(x / grid.dr)) for x in rho[1:-1]], starts,
-        tol_nehari, node_radii=tuple(float(x) for x in rho[1:-1]),
-    )
+        starts = [_annulus_cont(grid, rho[0], rho[1])[0]]
+    return _split_profile(grid, h, rho[1:-1], starts, tol_nehari)

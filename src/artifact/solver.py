@@ -42,7 +42,13 @@ from .grid import (
     newton,
     solve_tridiag,
 )
-from .nehari import MaximizerReport, PulseEnsemble, coupled_energy, maximize_phi
+from .nehari import (
+    MaximizerReport,
+    PulseEnsemble,
+    coupled_energy,
+    maximize_phi,
+    overlap_matrix,
+)
 from .scalar import NodalProfile
 
 LAMBDA_UNIT_TOL = 1e-6
@@ -413,13 +419,6 @@ def _certify(beta: float, grid: RadialGrid, assignment: Assignment,
     refined = PulseEnsemble(grid, assignment, P)
     rep = maximize_phi(beta, refined)
     lam_bar = rep.lambda_bar.values
-    k = assignment.k
-    w = grid.quad_weights
-    overlaps = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                overlaps[i, j] = np.dot(w, U[i] ** 2 * U[j] ** 2)
     in_nehari = bool(np.max(np.abs(lam_bar - 1.0)) < LAMBDA_UNIT_TOL)
     energy = coupled_energy(grid, beta, U)
     d_to_K = pulse_distance(refined, target) if target is not None else float("nan")
@@ -430,7 +429,7 @@ def _certify(beta: float, grid: RadialGrid, assignment: Assignment,
         energy=energy,
         residual=resid,
         d_to_K=d_to_K,
-        overlaps=overlaps,
+        overlaps=overlap_matrix(grid, U),
         in_nehari=in_nehari,
         hessian_negdef=rep.hessian_negdef,
         accepted=bool(resid < ACCEPT_RESIDUAL)

@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from artifact import cli
+from artifact.errors import StageFailure
 
 
 def run_cli(argv, capsys):
@@ -99,6 +100,51 @@ def test_solve_uncoupled_reproduces_reference(tmp_path, capsys):
     payload = json.loads(open(os.path.join(run_dir, "record_beta0.json")).read())
     assert payload["record"]["beta"] == 0.0
     assert payload["diagnostics"]["membership"]["in_N_beta"] is True
+
+
+@pytest.mark.parametrize("h, sigma", [("2", "1,2"), ("3", "1,2,1")])
+def test_solve_uncoupled_rejects_segregated_states_before_the_run_dir(
+        tmp_path, capsys, h, sigma):
+    # at beta 0 each component solves its own equation, so a nonnegative
+    # one is positive at every interior node and no segregated state exists
+    rc, out, err = run_cli([
+        "solve", "--beta", "0", "--dim", "2", "--n-points", "513",
+        "--r-max", "30", "--h", h, "--sigma", sigma,
+        "--out", str(tmp_path),
+    ], capsys)
+    assert rc == 2
+    blob = json.loads(err.strip())
+    assert blob["error"] == "config"
+    assert "decouple" in blob["message"]
+    assert os.listdir(tmp_path) == []
+
+
+SADDLE_CASE = ["--dim", "2", "--n-points", "1025", "--r-max", "30",
+               "--h", "3", "--sigma", "1,2,1"]
+
+
+def test_sweep_logs_a_failed_stage_and_keeps_the_rest(tmp_path, capsys):
+    # beta=1 has no scaling maximum here (a typed saddle); the sweep
+    # records that and still writes the beta=100 stage
+    rc, out, err = run_cli([
+        "sweep", *SADDLE_CASE, "--beta-schedule", "1,100",
+        "--out", str(tmp_path), "--label", "saddle",
+    ], capsys)
+    assert rc == 0
+    assert stdout_value(out, "stages") == "1 of 2"
+    log = open(tmp_path / "saddle" / "failures.log").read().splitlines()
+    assert len(log) == 1 and "beta=1 failed: scaling saddle" in log[0]
+    assert stdout_value(out, "failed") == log[0]
+    assert os.path.isfile(tmp_path / "saddle" / "record_beta100.json")
+
+
+def test_solve_without_a_converged_state_exits_3(tmp_path, capsys):
+    with pytest.warns(StageFailure, match="scaling saddle"):
+        rc, out, err = run_cli([
+            "solve", "--beta", "1", *SADDLE_CASE, "--out", str(tmp_path),
+        ], capsys)
+    assert rc == 3
+    assert json.loads(err.strip())["error"] == "solver"
 
 
 def test_solve_two_components(tmp_path, capsys):

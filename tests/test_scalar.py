@@ -63,6 +63,17 @@ def test_shoot_counts_zeros_closer_than_the_spacing(a):
     assert af.shoot(g, a).sign_changes == want
 
 
+@pytest.mark.parametrize("dim, a", [(d, a) for d in (1, 2, 3)
+                                    for a in (1e-6, 1.0, 3.0, 40.0)]
+                         + [(2, 2e3), (3, 2e3)])
+def test_shot_stays_under_its_energy_bound(dim, a):
+    # E = w'^2/2 - w^2/2 + w^4/4 never rises along r, so |w| stays under
+    # max(a, sqrt(2)) and no shot can blow up
+    g = af.build_grid(dim, 257, 3.0)
+    w = af.shoot(g, a).trajectory.values
+    assert np.max(np.abs(w)) <= max(a, np.sqrt(2.0)) * (1 + 1e-9)
+
+
 def test_count_sign_changes_deadband():
     vals = np.array([1.0, 1e-14, -1e-14, -1.0, 1e-13, 1.0])
     assert af.count_sign_changes(vals, deadband=1e-12) == 2
@@ -347,7 +358,7 @@ def test_fine_cells_accept_their_first_polish(monkeypatch):
     rho = [0.0, 0.1397, 0.7404, 2.2421, 20.0]
     for l in range(4):
         calls.clear()
-        af.scalar._annulus_cont(g, rho[l], rho[l + 1], origin=(l == 0))
+        af.scalar._annulus_cont(g, rho[l], rho[l + 1])
         assert len(calls) == 1, (l, len(calls))
 
 
@@ -452,14 +463,14 @@ def test_cell_radius_derivative_matches_finite_differences(dim, a, b, origin):
     # 0.01 dr); measured worst relative gap 5.1e-7, from the energy's
     # roundoff over the step
     g = af.build_grid(dim, 1025, 20.0)
-    u, _, slopes = af.scalar._annulus_cont(g, a, b, origin=origin)
+    u, _, slopes = af.scalar._annulus_cont(g, a, b)
     eps = 0.01 * g.dr
     for k in ((1,) if origin else (0, 1)):
         hi, lo = [a, b], [a, b]
         hi[k] += eps
         lo[k] -= eps
-        fd = (af.scalar._annulus_cont(g, *hi, origin=origin, u_init=u)[1]
-              - af.scalar._annulus_cont(g, *lo, origin=origin, u_init=u)[1])
+        fd = (af.scalar._annulus_cont(g, *hi, u_init=u)[1]
+              - af.scalar._annulus_cont(g, *lo, u_init=u)[1])
         fd /= 2 * eps
         assert abs(fd - slopes[k]) <= 1e-5 * abs(slopes[k]), (k, fd, slopes[k])
     if origin:
@@ -481,10 +492,10 @@ def test_partition_radii_are_stationary_within_a_solve_budget(monkeypatch):
 
     monkeypatch.setattr(af.scalar, "_annulus_cont", spy)
     profile = af.compute_c_infinity(g, 3)
-    # 133 cell solves measured; the golden-section search made 744
+    # 132 cell solves measured; the golden-section search made 744
     assert len(calls) <= 200
     rho = [0.0, *profile.node_radii, g.r_max]
-    slopes = np.array([solve(g, rho[l], rho[l + 1], origin=(l == 0))[2]
+    slopes = np.array([solve(g, rho[l], rho[l + 1])[2]
                        for l in range(3)])
     grad = slopes[:-1, 1] + slopes[1:, 0]
     assert np.max(np.abs(grad)) * g.dr < 1e-8, grad
