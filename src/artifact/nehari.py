@@ -29,7 +29,7 @@ from .errors import (
     SaddleScaling,
     UnboundedEnergy,
 )
-from .grid import RadialGrid, h1_inner, h1_norm_sq, lp_integral
+from .grid import RadialGrid, h1_inner, h1_norm_sq, lp_integral, normal_power
 
 # gradient norm of the scaling energy under which its maximizer stops
 GRADIENT_TOL = 1e-10
@@ -114,7 +114,8 @@ def coupled_energy(grid: RadialGrid, beta: float, U: np.ndarray) -> float:
     w = grid.quad_weights
     val = 0.0
     for i in range(k):
-        val += 0.5 * h1_norm_sq(grid, U[i]) - 0.25 * np.dot(w, U[i] ** 4)
+        val += (0.5 * h1_norm_sq(grid, U[i])
+                - 0.25 * np.dot(w, normal_power(U[i], 4)))
     for x in overlap_matrix(grid, U)[~np.eye(k, dtype=bool)]:
         val += 0.25 * beta * x
     return float(val)
@@ -280,7 +281,7 @@ def miranda_box(beta: float, ensemble: PulseEnsemble) -> Optional[tuple]:
     U = ensemble.components()
     k = ensemble.assignment.k
     w = grid.quad_weights
-    scale = max(np.dot(w, U[i] ** 4) for i in range(k))
+    scale = max(np.dot(w, normal_power(U[i], 4)) for i in range(k))
     if np.any(overlap_matrix(grid, U) > 1e-12 * max(scale, 1e-30)):
         return None
     a = np.array([h1_norm_sq(grid, p) for p in ensemble.pulses])

@@ -40,6 +40,7 @@ from .grid import (
     factor_tridiag,
     h1_norm_sq,
     newton,
+    normal_power,
     solve_tridiag,
 )
 from .nehari import (
@@ -156,7 +157,7 @@ def residual_components(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndar
     for i in range(k):
         R[i] = (
             apply_tridiag(grid.op_lower, grid.op_diag, grid.op_upper, U[i])
-            - U[i] ** 3
+            - normal_power(U[i], 3)
             + beta * U[i] * T[i]
         )
         R[i, -1] = U[i, -1]
@@ -271,7 +272,7 @@ def _row_terms(grid: RadialGrid, beta: float):
     def rows(U):
         m = float(np.max(np.abs(U)))
         return (dmax * m + (1.0 + beta * (len(U) - 1)) * m**3,
-                lambda: np.abs(grid.op_diag * U) + np.abs(U) ** 3
+                lambda: np.abs(grid.op_diag * U) + normal_power(np.abs(U), 3)
                 + beta * np.abs(U) * _cross_sq(U))
 
     return rows
@@ -385,7 +386,7 @@ def _picard_step(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
     for i in range(U.shape[0]):
         diag = grid.op_diag + beta * T[i]
         diag[-1] = 1.0
-        rhs = U[i] ** 3
+        rhs = normal_power(U[i], 3)
         rhs[-1] = 0.0
         V[i] = solve_tridiag(grid.op_lower, diag, grid.op_upper, rhs)
     return V

@@ -3,11 +3,12 @@ error codes, and reproducibility."""
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from artifact import cli
-from artifact.errors import StageFailure
 
 
 def run_cli(argv, capsys):
@@ -138,13 +139,22 @@ def test_sweep_logs_a_failed_stage_and_keeps_the_rest(tmp_path, capsys):
     assert os.path.isfile(tmp_path / "saddle" / "record_beta100.json")
 
 
-def test_solve_without_a_converged_state_exits_3(tmp_path, capsys):
-    with pytest.warns(StageFailure, match="scaling saddle"):
-        rc, out, err = run_cli([
-            "solve", "--beta", "1", *SADDLE_CASE, "--out", str(tmp_path),
-        ], capsys)
-    assert rc == 3
-    assert json.loads(err.strip())["error"] == "solver"
+def test_solve_failed_stage_writes_one_json_line(tmp_path):
+    # in a fresh interpreter, so that a StageFailure warning escaping to
+    # stderr (file, line and source) would show beside the JSON error
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "artifact.cli", "solve", "--beta", "1",
+         *SADDLE_CASE, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    blob = json.loads(lines[0])
+    assert blob["error"] == "solver"
+    assert blob["message"].startswith("stage beta=1 failed: scaling saddle")
 
 
 def test_solve_two_components(tmp_path, capsys):

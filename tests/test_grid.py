@@ -10,6 +10,7 @@ from artifact.grid import (
     apply_schrodinger,
     apply_tridiag,
     factor_tridiag,
+    normal_power,
     solve_tridiag,
 )
 
@@ -180,6 +181,24 @@ def test_lp_integral_soliton(grid_n1):
     # closed form: integral of (sqrt(2) sech r)^4 over the line is 16/3
     u = np.sqrt(2.0) / np.cosh(grid_n1.nodes)
     assert af.lp_integral(grid_n1, u, 4) == pytest.approx(16.0 / 3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_normal_power_is_pow_or_a_flushed_underflow(p):
+    # 400 consecutive doubles around tiny**(1/p), which for p = 3 lies
+    # 74 ulps above the true boundary, plus a spread from 1e-320 to 100,
+    # both signs
+    tiny = np.finfo(float).tiny
+    mid = np.array([tiny ** (1.0 / p)]).view(np.int64)
+    near = (mid + np.arange(-200, 200)).view(float)
+    spread = np.geomspace(1e-320, 1e2, 2001)
+    u = np.concatenate([near, -near, spread, -spread, [0.0]])
+    got = normal_power(u, p)
+    normal = np.abs(u) ** p >= tiny
+    assert np.array_equal(got[normal], u[normal] ** p)
+    assert np.all(got[~normal] == 0.0)
+    assert normal[:400].any() and not normal[:400].all()
+    assert (u[~normal] ** p != 0.0).any()  # subnormal results it drops
 
 
 @pytest.mark.parametrize("scale", [1.01, 1.1, 0.9])

@@ -89,6 +89,28 @@ def test_count_sign_changes_scale_invariant(scale, seed):
     assert af.count_sign_changes(scale * vals, deadband=0.0) == base
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shot_rhs_is_the_numpy_scalar_formula(dim):
+    # the right-hand side unpacks y into Python floats; the same formula
+    # on numpy float64 scalars must give the same bits, on the axis
+    # branch (r < 1e-12) too
+    def reference(rr, y):
+        wv, p = y
+        if rr < 1e-12:
+            return (p, (wv - wv**3) / dim)
+        return (p, wv - wv**3 - (dim - 1) / rr * p)
+
+    f = af.scalar._ode_rhs(dim)
+    rng = np.random.default_rng(15)
+    radii = [0.0, *rng.uniform(0.0, 1e-12, 100), *rng.uniform(1e-12, 40.0, 200)]
+    for rr in radii:
+        mags = 10.0 ** rng.uniform(-20.0, 2.0, 2)
+        y = mags * rng.choice([-1.0, 1.0], 2)
+        got = np.array(f(float(rr), y), dtype=float)
+        want = np.array(reference(float(rr), y), dtype=float)
+        assert got.tobytes() == want.tobytes(), (rr, y)
+
+
 def _sampled_count(grid, amplitude, rtol):
     # the reference count: the whole shot to r_max, sampled on every node
     sol = solve_ivp(af.scalar._ode_rhs(grid.dimension), (0.0, grid.r_max),

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 import artifact as af
+from artifact.grid import apply_tridiag, h1_norm_sq, solve_tridiag
 
 
 @pytest.mark.parametrize("kw", [
@@ -327,3 +328,41 @@ def test_line_anchor_stall_stays_a_typed_failure():
     with pytest.raises(af.NewtonDivergence, match="anchor solve stalled") as exc:
         af.continuation(profile, af.build_assignment((1, 2, 1)), cfg)
     assert float(str(exc.value).rsplit(" ", 1)[1]) > 1e-6
+
+
+def test_strong_coupling_powers_match_pow():
+    # the beta = 1e4 anchor state, whose tails fall to 1e-143: some of
+    # its cubes and fourth powers are subnormal, which `normal_power`
+    # flushes; every caller must still equal its formula with ** exactly
+    g = af.build_grid(2, 1025, 30.0)
+    guess = af.initial_guess(af.compute_c_infinity(g, 3),
+                             af.build_assignment((1, 2, 1)))
+    beta = 1e4
+    U, _, _ = af.coupled_newton(g, beta, guess.components(), maxit=120)
+    tiny = np.finfo(float).tiny
+    for p in (3, 4):
+        assert ((np.abs(U) ** p < tiny) & (U ** p != 0.0)).any()
+    T = af.solver._cross_sq(U)
+
+    R = np.empty_like(U)
+    V = np.empty_like(U)
+    energy = 0.0
+    for i in range(len(U)):
+        R[i] = (apply_tridiag(g.op_lower, g.op_diag, g.op_upper, U[i])
+                - U[i] ** 3 + beta * U[i] * T[i])
+        R[i, -1] = U[i, -1]
+        diag = g.op_diag + beta * T[i]
+        diag[-1] = 1.0
+        rhs = U[i] ** 3
+        rhs[-1] = 0.0
+        V[i] = solve_tridiag(g.op_lower, diag, g.op_upper, rhs)
+        energy += (0.5 * h1_norm_sq(g, U[i])
+                   - 0.25 * np.dot(g.quad_weights, U[i] ** 4))
+    for x in af.nehari.overlap_matrix(g, U)[~np.eye(len(U), dtype=bool)]:
+        energy += 0.25 * beta * x
+    rows = np.abs(g.op_diag * U) + np.abs(U) ** 3 + beta * np.abs(U) * T
+
+    assert np.array_equal(af.residual_components(g, beta, U), R)
+    assert np.array_equal(af.solver._row_terms(g, beta)(U)[1](), rows)
+    assert np.array_equal(af.solver._picard_step(g, beta, U), V)
+    assert af.coupled_energy(g, beta, U) == energy
