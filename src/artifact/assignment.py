@@ -1,10 +1,8 @@
-"""Bump-to-component assignment map and its double-index form.
+"""Bump-to-component assignment map.
 
 sigma sends bump l (1-based, ordered by radius) to a component index in
 1..k; consecutive bumps must land on different components and every
-component must receive at least one bump.  The double index (i, m) names
-pulse m of component i, with m counting that component's bumps in radial
-order.
+component must receive at least one bump.
 """
 from __future__ import annotations
 
@@ -18,8 +16,6 @@ class Assignment:
     h: int
     k: int
     sigma: tuple
-    h_counts: tuple
-    sigma_tilde: tuple  # sigma_tilde[l-1] = (i, m), all 1-based
 
 
 def build_assignment(sigma) -> Assignment:
@@ -40,30 +36,4 @@ def build_assignment(sigma) -> Assignment:
     missing = [i for i in range(1, k + 1) if i not in present]
     if missing:
         raise NotSurjective(f"components {missing} receive no bump")
-    counts = [0] * k
-    tilde = []
-    for i in sig:
-        counts[i - 1] += 1
-        tilde.append((i, counts[i - 1]))
-    return Assignment(
-        h=len(sig),
-        k=k,
-        sigma=tuple(sig),
-        h_counts=tuple(counts),
-        sigma_tilde=tuple(tilde),
-    )
-
-
-def pulses_of(assignment: Assignment, i: int) -> tuple:
-    """Bump indices (1-based, increasing) assigned to component i."""
-    if not 1 <= i <= assignment.k:
-        raise ConfigError(f"component index {i} out of range 1..{assignment.k}")
-    return tuple(l + 1 for l, s in enumerate(assignment.sigma) if s == i)
-
-
-def bump_of_pair(assignment: Assignment, i: int, m: int) -> int:
-    """Inverse of sigma_tilde: the bump index carrying pulse (i, m)."""
-    for l, pair in enumerate(assignment.sigma_tilde):
-        if pair == (i, m):
-            return l + 1
-    raise ConfigError(f"no pulse ({i}, {m}) in assignment")
+    return Assignment(h=len(sig), k=k, sigma=tuple(sig))

@@ -31,6 +31,11 @@ from .solver import (
 )
 
 
+def _is_int(x) -> bool:
+    # JSON true and false are ints to isinstance
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     dimension: int = 2
@@ -44,23 +49,23 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("dimension", "n_points", "h"):
-            if not isinstance(getattr(self, name), int):
+            if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
         if self.dimension not in (1, 2, 3):
             raise ConfigError("dimension must be 1, 2 or 3")
         if self.n_points < 16:
             raise ConfigError("n_points must be at least 16")
-        if self.r_max <= 0:
-            raise ConfigError("r_max must be positive")
+        if not 0 < self.r_max < np.inf:
+            raise ConfigError("r_max must be positive and finite")
         if self.h < 1:
             raise ConfigError("h must be at least 1")
-        if not all(isinstance(s, int) for s in self.sigma):
+        if not all(_is_int(s) for s in self.sigma):
             raise ConfigError(f"sigma entries must be integers, got {self.sigma}")
         self.sigma = tuple(self.sigma)
         # SolverConfig checks the schedule
         self.beta_schedule = self.solver_config().beta_schedule
-        if self.tol_nehari <= 0:
-            raise ConfigError("tol_nehari must be positive")
+        if not 0 < self.tol_nehari < np.inf:
+            raise ConfigError("tol_nehari must be positive and finite")
 
     def to_dict(self) -> dict:
         return {
@@ -301,8 +306,8 @@ def _continuation(profile: NodalProfile, assignment: Assignment,
 
 def cmd_solve(args) -> int:
     beta = float(args.beta)
-    if beta < 0:
-        raise ConfigError("beta must be nonnegative")
+    if not 0 <= beta < np.inf:
+        raise ConfigError("beta must be nonnegative and finite")
     config, assignment, run_dir, profile = _start_run(args, "solve", beta)
     if beta == 0.0:
         record = newton_refine(0.0, initial_guess(profile, assignment),

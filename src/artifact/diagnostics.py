@@ -2,14 +2,10 @@
 profile, overlap strengths, scaling state, and set membership flags."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .assignment import Assignment
-from .errors import ConfigError
 from .grid import RadialGrid, h1_norm_sq
 from .nehari import (
     MaximizerReport,
@@ -62,19 +58,6 @@ class DiagnosticsReport:
             "membership": dict(self.membership),
             "residual_max": self.residual_max,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-
-
-def d_sigma_distance(ensemble: PulseEnsemble, profile: NodalProfile,
-                     assignment: Assignment) -> float:
-    """Root sum of squared H1 pulse-to-bump distances."""
-    if assignment is not ensemble.assignment and assignment.sigma != ensemble.assignment.sigma:
-        raise ConfigError("assignment does not match the ensemble")
-    return pulse_distance(ensemble, profile)
 
 
 def overlap_report(beta: float, grid: RadialGrid, components: np.ndarray):

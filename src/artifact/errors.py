@@ -29,10 +29,6 @@ class NewtonDivergence(SolveError):
     """Damped Newton iteration stalled above its residual tolerance."""
 
 
-class ZeroField(SolveError):
-    """Operation needs a nonzero field (projection of the zero field)."""
-
-
 class EmptyAnnulus(SolveError):
     """Annulus contains too few interior nodes to host a bump."""
 

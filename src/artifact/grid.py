@@ -62,17 +62,6 @@ class RadialField:
                 f"field length {self.values.shape} != grid size {self.grid.n_points}"
             )
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("r,value\n")
-            for r, v in zip(self.grid.nodes, self.values):
-                fh.write(f"{r:.17g},{v:.17g}\n")
-
-    @staticmethod
-    def from_csv(grid: RadialGrid, path) -> "RadialField":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return RadialField(grid, data[:, 1])
-
 
 def build_grid(dimension: int, n_points: int = 4096, r_max: float = 40.0) -> RadialGrid:
     """Construct the uniform radial grid with n_points nodes on [0, r_max]."""
@@ -80,8 +69,8 @@ def build_grid(dimension: int, n_points: int = 4096, r_max: float = 40.0) -> Rad
         raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension}")
     if n_points < 16:
         raise ConfigError(f"n_points must be at least 16, got {n_points}")
-    if not (r_max > 0):
-        raise ConfigError(f"r_max must be positive, got {r_max}")
+    if not 0 < r_max < np.inf:
+        raise ConfigError(f"r_max must be positive and finite, got {r_max}")
     n = int(n_points)
     r = np.linspace(0.0, float(r_max), n)
     dr = r[1] - r[0]
@@ -251,14 +240,6 @@ def newton(residual, factor, u, tol, maxit, rows, history=None):
         if history is not None:
             history.append(nf)
     return u, nf, maxit, converged(F, nf, tol, rows, u)
-
-
-def apply_schrodinger(grid: RadialGrid, u) -> np.ndarray:
-    """(-Lap + 1) u with the Dirichlet row at r_max left as the identity."""
-    v = _values(u)
-    if v.shape != (grid.n_points,):
-        raise ConfigError("field does not match grid")
-    return apply_tridiag(grid.op_lower, grid.op_diag, grid.op_upper, v)
 
 
 def h1_inner(grid: RadialGrid, u, v) -> float:

@@ -3,21 +3,18 @@
 An ensemble is h nonnegative pulses tied to an assignment; scaling pulse l
 by lambda_l and summing per component gives the coupled energy as a
 function of the scaling vector.  The maximizer lambda_bar over the
-positive orthant is the gateway to the constrained minimization: its
-value is the quantity the outer solver descends, and lambda_bar = 1
-signals a constrained critical point.
+positive orthant and its value certify each continuation stage;
+lambda_bar = 1 signals a constrained critical point.
 
 The scaling energy is a quartic polynomial in the scalings whose
 coefficients are pulse integrals; the maximizer iterates on that form,
 while `phi`, `j_beta` and the reported maximum are evaluated on the grid.
 
-Scaling vectors are indexed by bump order l = 1..h; the double index
-(i, m) of the assignment maps to l through sigma_tilde.
+Scaling vectors are indexed by bump order l = 1..h.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +26,7 @@ from .errors import (
     SaddleScaling,
     UnboundedEnergy,
 )
-from .grid import RadialGrid, h1_inner, h1_norm_sq, lp_integral, normal_power
+from .grid import RadialGrid, h1_inner, h1_norm_sq, normal_power
 
 # gradient norm of the scaling energy under which its maximizer stops
 GRADIENT_TOL = 1e-10
@@ -79,20 +76,7 @@ class LambdaVector:
 class MaximizerReport:
     lambda_bar: LambdaVector
     m_value: float
-    gradient_norm: float
     hessian_negdef: bool
-    min_lambda: float
-    radius_sq: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_bar": [float(x) for x in self.lambda_bar.values],
-            "m_value": self.m_value,
-            "gradient_norm": self.gradient_norm,
-            "hessian_negdef": self.hessian_negdef,
-            "min_lambda": self.min_lambda,
-            "radius_sq": self.radius_sq,
-        }
 
 
 def overlap_matrix(grid: RadialGrid, U: np.ndarray) -> np.ndarray:
@@ -129,14 +113,6 @@ def phi(beta: float, ensemble: PulseEnsemble, lam) -> float:
     """The scaling energy: coupled energy of the lambda-scaled ensemble."""
     lam = np.asarray(lam, dtype=float)
     return j_beta(beta, ensemble, lam)
-
-
-def grad_phi(beta: float, ensemble: PulseEnsemble, lam) -> np.ndarray:
-    return _poly(*_tensors(beta, ensemble), np.asarray(lam, float))[1]
-
-
-def hess_phi(beta: float, ensemble: PulseEnsemble, lam) -> np.ndarray:
-    return _poly(*_tensors(beta, ensemble), np.asarray(lam, float))[2]
 
 
 def _tensors(beta, ensemble):
@@ -260,39 +236,6 @@ def maximize_phi(beta: float, ensemble: PulseEnsemble, x0=None) -> MaximizerRepo
     return MaximizerReport(
         lambda_bar=LambdaVector(lam),
         m_value=float(phi(beta, ensemble, lam)),
-        gradient_norm=gn,
         hessian_negdef=True,  # otherwise SaddleScaling was raised
-        min_lambda=float(np.min(lam)),
-        radius_sq=float(np.dot(lam, lam)),
     )
 
-
-def miranda_box(beta: float, ensemble: PulseEnsemble) -> Optional[tuple]:
-    """Dyadic box [t, T] whose faces carry the sign pattern that pins a
-    maximizer inside.
-
-    Requires componentwise disjoint supports; on overlap returns None
-    (absence is reported, never fatal).  The face function of pulse l is
-    F_l(s) = s^2 ||u_l||^2 - s^4 int u_l^4 restricted to the pulse's own
-    support, which decouples from the other coordinates, so each face
-    check is one sign evaluation per pulse.
-    """
-    grid = ensemble.grid
-    U = ensemble.components()
-    k = ensemble.assignment.k
-    w = grid.quad_weights
-    scale = max(np.dot(w, normal_power(U[i], 4)) for i in range(k))
-    if np.any(overlap_matrix(grid, U) > 1e-12 * max(scale, 1e-30)):
-        return None
-    a = np.array([h1_norm_sq(grid, p) for p in ensemble.pulses])
-    b = np.array([lp_integral(grid, p, 4) for p in ensemble.pulses])
-    if np.any(a <= 0) or np.any(b <= 0):
-        return None
-    lam_hat = np.sqrt(a / b)
-    for q in range(1, 21):
-        t, T = 2.0**-q, 2.0**q
-        if t < lam_hat.min() and T > lam_hat.max():
-            # low face must be uphill, high face downhill
-            if np.all(t**2 * a - t**4 * b > 0) and np.all(T**2 * a - T**4 * b < 0):
-                return (float(t), float(T))
-    return None

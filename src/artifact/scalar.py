@@ -40,7 +40,6 @@ from .errors import (
     EmptyAnnulus,
     NewtonDivergence,
     StepFailure,
-    ZeroField,
 )
 from .grid import (
     RadialField,
@@ -271,17 +270,6 @@ def _polish(grid: RadialGrid, j0: int, j1: int, u):
     return out, resid, ok
 
 
-def nehari_project_scalar(grid: RadialGrid, u) -> np.ndarray:
-    """Scale u onto the constraint ||u||^2 = int u^4."""
-    a = h1_norm_sq(grid, u)
-    if a <= 0:
-        raise ZeroField("cannot project the zero field")
-    b = lp_integral(grid, u, 4)
-    if b <= 0:
-        raise ZeroField("field has no quartic mass under the quadrature")
-    return np.sqrt(a / b) * np.asarray(u, float)
-
-
 def free_energy(grid: RadialGrid, u) -> float:
     """J(u) = 1/2 ||u||^2 - 1/4 int u^4."""
     return 0.5 * h1_norm_sq(grid, u) - 0.25 * lp_integral(grid, u, 4)
@@ -354,29 +342,6 @@ def bump_constants(profile: NodalProfile):
 
 # ---------------------------------------------------------------------------
 # annulus ground states
-
-
-def annulus_ground_state(grid: RadialGrid, r_lo: float, r_hi: float,
-                         u_init=None):
-    """Nonnegative energy minimizer on the annulus r_lo < r < r_hi.
-
-    The radii are genuinely continuous: boundary nodes sit between grid
-    nodes and enter through partial-interval flux and quadrature terms, so
-    the reported energy varies smoothly with (r_lo, r_hi).  r_lo = 0 means
-    the center ball (even-symmetry condition on the axis).  u_init, a
-    field on the full grid, replaces the built-in seed.  Every cell solve
-    has the same budget: preconditioned descent of at most 600 steps that
-    stops once a step gains less than 1e-12, with Newton polishes on the
-    way.  Returns (field embedded on the full grid, energy).
-    """
-    if not 0 <= r_lo <= r_hi <= grid.r_max + 1e-12:
-        raise ConfigError(f"bad annulus [{r_lo}, {r_hi}]")
-    out, J, _ = _annulus_cont(grid, r_lo, r_hi, u_init=u_init)
-    if out is None:
-        raise EmptyAnnulus(
-            f"annulus ({r_lo:.4g}, {r_hi:.4g}) has too few interior nodes"
-        )
-    return out, float(J)
 
 
 def _annulus_cont(grid: RadialGrid, a, b, u_init=None):

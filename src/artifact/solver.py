@@ -64,8 +64,8 @@ ACCEPT_RESIDUAL = 1e-8
 
 @dataclass
 class SolverConfig:
-    """The coupling schedule of a continuation run: positive and strictly
-    increasing.  The solver's tolerances are module constants."""
+    """The coupling schedule of a continuation run: positive, finite and
+    strictly increasing.  The solver's tolerances are module constants."""
 
     beta_schedule: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 
@@ -73,8 +73,8 @@ class SolverConfig:
         sched = tuple(float(b) for b in self.beta_schedule)
         if len(sched) == 0:
             raise ConfigError("beta_schedule must be nonempty")
-        if any(b <= 0 for b in sched):
-            raise ConfigError("beta_schedule entries must be positive")
+        if not all(0 < b < np.inf for b in sched):
+            raise ConfigError("beta_schedule entries must be positive and finite")
         if any(b2 <= b1 for b1, b2 in zip(sched, sched[1:])):
             raise ConfigError("beta_schedule must be strictly increasing")
         self.beta_schedule = sched

@@ -1,4 +1,4 @@
-"""Assignment validation and the bump/pair index maps."""
+"""Assignment validation."""
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,17 +10,7 @@ def test_reference_assignment():
     a = af.build_assignment((1, 2, 1, 3, 2))
     assert a.h == 5
     assert a.k == 3
-    assert a.h_counts == (2, 2, 1)
-    assert af.pulses_of(a, 1) == (1, 3)
-    assert af.pulses_of(a, 2) == (2, 5)
-    assert af.pulses_of(a, 3) == (4,)
-
-
-def test_pair_indexing_round_trip():
-    a = af.build_assignment((1, 2, 1, 3, 2))
-    for i in range(1, a.k + 1):
-        for m, l in enumerate(af.pulses_of(a, i), start=1):
-            assert af.bump_of_pair(a, i, m) == l
+    assert a.sigma == (1, 2, 1, 3, 2)
 
 
 def test_adjacent_repeat_rejected():
@@ -42,7 +32,7 @@ def test_malformed_sigma_rejected(sigma):
 def test_alternating_two_components():
     a = af.build_assignment((1, 2, 1, 2))
     assert a.k == 2
-    assert a.h_counts == (2, 2)
+    assert a.h == 4
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10))
@@ -51,4 +41,4 @@ def test_alternating_always_valid(k, extra):
     sigma = tuple((q % k) + 1 for q in range(k + extra))
     a = af.build_assignment(sigma)
     assert a.k == k
-    assert sum(a.h_counts) == a.h == len(sigma)
+    assert a.h == len(sigma)

@@ -73,13 +73,15 @@ def test_solve_rejects_sigma_length_mismatch(tmp_path, capsys):
 
 
 def test_solve_rejects_negative_beta_before_the_run_dir(tmp_path, capsys):
-    rc, out, err = run_cli([
-        "solve", "--beta", "-1", "--dim", "2", "--n-points", "513",
-        "--r-max", "30", "--h", "2", "--sigma", "1,2", "--out", str(tmp_path),
-    ], capsys)
-    assert rc == 2
-    assert "beta" in json.loads(err.strip())["message"]
-    assert os.listdir(tmp_path) == []
+    # nan and inf used to leave a run directory and a traceback
+    for beta in ("-1", "nan", "inf"):
+        rc, out, err = run_cli([
+            "solve", "--beta", beta, "--dim", "2", "--n-points", "513",
+            "--r-max", "30", "--h", "2", "--sigma", "1,2", "--out", str(tmp_path),
+        ], capsys)
+        assert rc == 2
+        assert "beta" in json.loads(err.strip())["message"]
+        assert os.listdir(tmp_path) == []
 
 
 def test_solve_uncoupled_reproduces_reference(tmp_path, capsys):
@@ -302,11 +304,16 @@ def test_legacy_outer_tol_key_is_dropped(tmp_path, key, value):
 
 @pytest.mark.parametrize("entry", [{"sigma": [1, 2.5, 1]}, {"sigma": ["x"]},
                                    {"n_points": "4097"}, {"n_points": 257.5},
-                                   {"h": 2.5}, {"beta_schedule": ["x"]}])
+                                   {"h": 2.5}, {"beta_schedule": ["x"]},
+                                   {"r_max": float("nan")}, {"r_max": float("inf")},
+                                   {"tol_nehari": float("nan")}, {"dimension": True},
+                                   {"h": 2, "sigma": [True, 2]}])
 def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
     # sigma [1, 2.5, 1] and n_points 257.5 used to run silently as
     # (1, 2, 1) and 257; the others escaped main as a bare ValueError or
-    # TypeError, h = 2.5 only once the profile was computed
+    # TypeError, h = 2.5 only once the profile was computed.  JSON true
+    # ran as 1, and r_max NaN was caught only after the run directory was
+    # made
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(cli.ExperimentConfig().to_dict(), **entry)))
     with pytest.raises(cli.ConfigError):
@@ -314,6 +321,7 @@ def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
     rc, out, err = run_cli(["scalar", "--config", str(path), "--out", str(tmp_path)],
                            capsys)
     assert rc == 2 and json.loads(err.strip())["error"] == "config"
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_beta_tags_are_distinct_and_read_back_exactly():

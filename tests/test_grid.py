@@ -7,7 +7,6 @@ from scipy.linalg import LinAlgError, solve_banded
 
 import artifact as af
 from artifact.grid import (
-    apply_schrodinger,
     apply_tridiag,
     factor_tridiag,
     normal_power,
@@ -28,6 +27,7 @@ def test_node_spacing():
     (2, 8, 10.0),
     (2, 100, 0.0),
     (2, 100, -1.0),
+    (2, 100, np.inf),
 ])
 def test_build_grid_rejects(dim, n, rmax):
     with pytest.raises(af.ConfigError):
@@ -58,7 +58,7 @@ def test_operator_matches_quadratic_form(dim, rng):
     g = af.build_grid(dim, 257, 8.0)
     u = rng.standard_normal(g.n_points)
     u[-1] = 0.0
-    au = apply_schrodinger(g, u)
+    au = apply_tridiag(g.op_lower, g.op_diag, g.op_upper, u)
     quad = float(np.dot(g.quad_weights, u * au))
     assert quad == pytest.approx(af.h1_norm_sq(g, u), rel=1e-11, abs=1e-11)
 
@@ -168,15 +168,6 @@ def test_h1_scales_quadratically(scale, seed):
     )
 
 
-def test_field_csv_round_trip(tmp_path, grid_n1, rng):
-    u = rng.standard_normal(grid_n1.n_points)
-    field = af.RadialField(grid_n1, u)
-    path = tmp_path / "field.csv"
-    field.to_csv(path)
-    back = af.RadialField.from_csv(grid_n1, path)
-    assert np.array_equal(back.values, field.values)
-
-
 def test_lp_integral_soliton(grid_n1):
     # closed form: integral of (sqrt(2) sech r)^4 over the line is 16/3
     u = np.sqrt(2.0) / np.cosh(grid_n1.nodes)
@@ -210,7 +201,7 @@ def test_newton_stops_at_the_roundoff_of_its_rows(scale):
     # last step
     g = af.build_grid(3, 8193, 20.0)
     j1 = int(round(2.81 / g.dr))
-    u0, _ = af.annulus_ground_state(g, 0.0, g.nodes[j1])
+    u0, _, _ = af.scalar._annulus_cont(g, 0.0, g.nodes[j1])
     lo, di, up = g.op_lower[: j1 - 1], g.op_diag[:j1], g.op_upper[: j1 - 1]
     calls = []
 

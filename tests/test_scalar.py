@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 
 import artifact as af
 from artifact.grid import (
-    apply_schrodinger,
     apply_tridiag,
     factor_tridiag,
     solve_tridiag,
@@ -238,21 +237,8 @@ def test_bump_constants(profile_h2, grid_h2):
     assert c2 == pytest.approx(max(norms), rel=1e-12)
 
 
-def test_nehari_projection_scales(grid_n1, soliton_profile):
-    u = np.asarray(soliton_profile.bumps[0])
-    for t in (0.5, 2.0):
-        proj = af.nehari_project_scalar(grid_n1, t * u)
-        ref = af.nehari_project_scalar(grid_n1, u)
-        assert np.max(np.abs(proj - ref)) < 1e-10
-
-
-def test_nehari_projection_rejects_zero(grid_n1):
-    with pytest.raises(af.ZeroField):
-        af.nehari_project_scalar(grid_n1, np.zeros(grid_n1.n_points))
-
-
 def test_annulus_matches_ground_state(grid_n1, soliton_profile):
-    field, energy = af.annulus_ground_state(grid_n1, 0.0, grid_n1.r_max)
+    field, energy, _ = af.scalar._annulus_cont(grid_n1, 0.0, grid_n1.r_max)
     assert energy == pytest.approx(soliton_profile.c_value, abs=1e-10)
 
 
@@ -263,11 +249,11 @@ def test_annulus_at_node_radii_solves_grid_problem(dim, jlo, jhi):
     # strictly inside (plus the axis node for the center ball)
     g = af.build_grid(dim, 1025, 20.0)
     r = g.nodes
-    u, energy = af.annulus_ground_state(g, r[jlo], r[jhi])
+    u, energy, _ = af.scalar._annulus_cont(g, r[jlo], r[jhi])
     inner = slice(0 if jlo == 0 else jlo + 1, jhi)
     assert np.all(u >= 0)
     assert np.all(u[: inner.start] == 0) and np.all(u[jhi:] == 0)
-    resid = apply_schrodinger(g, u) - u**3
+    resid = apply_tridiag(g.op_lower, g.op_diag, g.op_upper, u) - u**3
     assert np.max(np.abs(resid[inner])) <= 1e-10
     norm = af.h1_norm_sq(g, u)
     assert abs(norm - af.lp_integral(g, u, 4)) <= 1e-8 * norm
@@ -328,7 +314,7 @@ def test_annulus_bands_match_loop_reference(monkeypatch, dim, a, b, origin):
         return apply_tridiag(lo, di, up, u)
 
     monkeypatch.setattr(af.scalar, "apply_tridiag", spy)
-    af.annulus_ground_state(g, a, b)
+    af.scalar._annulus_cont(g, a, b)
     for got, want in zip(seen[0], _loop_cell_bands(g, a, b, origin)):
         assert np.array_equal(got, want)
 
@@ -358,7 +344,7 @@ def test_annulus_factors_its_preconditioner_once(monkeypatch):
     monkeypatch.setattr(af.scalar, "factor_tridiag", factor_spy)
     monkeypatch.setattr(af.scalar, "solve_tridiag", solve_spy)
     monkeypatch.setattr(af.scalar, "_newton", newton_spy)
-    af.annulus_ground_state(g, 2.61, 9.47)
+    af.scalar._annulus_cont(g, 2.61, 9.47)
     assert len(factors) == 1
     assert in_newton and all(in_newton)
 
@@ -454,10 +440,11 @@ def test_cold_seed_cells_land_on_their_first_polish(monkeypatch, dim, n, r_max, 
 
 
 def test_annulus_rejects_bad_interval(grid_h2):
+    # a cell with fewer than 8 interior nodes has no solve and costs inf,
+    # and a grid where every chain of h cells does raises
+    assert af.scalar._annulus_cont(grid_h2, 5.0, 5.0) == (None, np.inf, None)
     with pytest.raises(af.EmptyAnnulus):
-        af.annulus_ground_state(grid_h2, 5.0, 5.0)
-    with pytest.raises(af.ConfigError):
-        af.annulus_ground_state(grid_h2, -1.0, 5.0)
+        af.compute_c_infinity(af.build_grid(2, 33, 10.0), 5)
 
 
 def test_free_energy_of_soliton(grid_n1):

@@ -16,6 +16,9 @@ from artifact.grid import apply_tridiag, h1_norm_sq, solve_tridiag
     {"beta_schedule": (-1.0,)},
     {"beta_schedule": (1.0, 1.0)},
     {"beta_schedule": (10.0, 1.0)},
+    {"beta_schedule": (np.nan,)},
+    {"beta_schedule": (1.0, np.inf)},
+    {"beta_schedule": (10.0, np.nan, 100.0)},
 ])
 def test_solver_config_rejects(kw):
     with pytest.raises(af.ConfigError):
