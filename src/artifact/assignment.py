@@ -23,7 +23,8 @@ def build_assignment(sigma) -> Assignment:
     if len(sig) == 0:
         raise ConfigError("sigma must be nonempty")
     for entry in sig:
-        if int(entry) != entry or entry < 1:
+        # JSON true is the integer 1 to int() and ==
+        if isinstance(entry, bool) or int(entry) != entry or entry < 1:
             raise ConfigError(f"sigma entries must be positive integers, got {entry}")
     sig = [int(x) for x in sig]
     k = max(sig)

@@ -51,6 +51,9 @@ class ExperimentConfig:
         for name in ("dimension", "n_points", "h"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
+        for name in ("r_max", "tol_nehari"):
+            if isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a number, not a boolean")
         if self.dimension not in (1, 2, 3):
             raise ConfigError("dimension must be 1, 2 or 3")
         if self.n_points < 16:
@@ -171,12 +174,15 @@ def make_run_dir(config: ExperimentConfig, kind: str, label=None) -> str:
 
 
 def _write_columns(path: str, r: np.ndarray, cols: dict) -> None:
+    """CSV of r and the columns, every value "%.17g"; one format per row
+    writes the bytes of one per value in less time, and a row at a time
+    holds no more than the stacked array."""
     names = ["r"] + list(cols)
-    arrays = [r] + [np.asarray(v, float) for v in cols.values()]
+    rows = np.column_stack([r] + [np.asarray(v, float) for v in cols.values()])
+    fmt = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
-        for row in zip(*arrays):
-            f.write(",".join("%.17g" % x for x in row) + "\n")
+        f.writelines(fmt % tuple(row.tolist()) for row in rows)
 
 
 def _read_columns(path: str):

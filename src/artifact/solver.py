@@ -70,6 +70,8 @@ class SolverConfig:
     beta_schedule: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 
     def __post_init__(self) -> None:
+        if any(isinstance(b, bool) for b in self.beta_schedule):
+            raise ConfigError("beta_schedule entries must be numbers, not booleans")
         sched = tuple(float(b) for b in self.beta_schedule)
         if len(sched) == 0:
             raise ConfigError("beta_schedule must be nonempty")
@@ -133,15 +135,17 @@ def pulse_distance(ensemble: PulseEnsemble, profile: NodalProfile) -> float:
     return float(np.sqrt(total))
 
 
-def _cross_sq(U: np.ndarray) -> np.ndarray:
-    """T_i = sum_{j != i} U_j^2 for each component, shape (k, n).
+def _cross_sq(U: np.ndarray, sq: Optional[np.ndarray] = None) -> np.ndarray:
+    """T_i = sum_{j != i} U_j^2 for each component, shape (k, n); `sq`
+    is U**2 where the caller has it already.
 
     Summed term by term rather than as S - U_i^2 with S = sum_j U_j^2:
     the shortcut cancels where U_i dominates.  On the reference sweep's
     anchor state at beta = 1e7 it moves the residual by 1.3e-9, 13 times
     NEWTON_TOL.
     """
-    sq = U**2
+    if sq is None:
+        sq = U**2
     k = len(U)
     return np.array(
         [sum((sq[j] for j in range(k) if j != i), np.zeros_like(sq[i]))
@@ -181,12 +185,12 @@ def component_centers(grid: RadialGrid, assignment: Assignment, U: np.ndarray,
         peak = float(u.max())
         if peak <= 0:
             continue
-        cand = []
-        for j in range(len(u) - 1):
-            left = u[j - 1] if j > 0 else -np.inf
-            if u[j] > left and u[j] >= u[j + 1] and u[j] > 1e-3 * peak:
-                cand.append(j)
-        cand = sorted(sorted(cand, key=lambda j: u[j])[-len(qs):])
+        # local maxima j < n - 1: above the left neighbour (the origin
+        # has none), at least the right one, and above 1e-3 of the peak
+        left = np.concatenate(([-np.inf], u[:-2]))
+        mid = u[:-1]
+        cand = np.flatnonzero((mid > left) & (mid >= u[1:]) & (mid > 1e-3 * peak))
+        cand = sorted(sorted(cand.tolist(), key=lambda j: u[j])[-len(qs):])
         if len(cand) == len(qs):
             for q, j in zip(qs, cand):
                 centers[q] = int(j)
@@ -222,42 +226,46 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
     solve(F), which maps a (k, n) right-hand side to J^{-1} F.
 
     Unknowns are node-major (the k components of a node adjacent), so the
-    Jacobian has k sub- and k super-diagonals; its bands are filled from
-    node-major views of the fields.  LAPACK ``gbtrf`` factors it and each
-    solve is one ``gbtrs``; for k = 1 the matrix is tridiagonal and
-    ``factor_tridiag`` does the same.  These are the eliminations
-    ``solve_banded((k, k), ...)`` performs, so solutions equal its bit for
-    bit.
+    Jacobian has k sub- and k super-diagonals.  Its bands are filled into
+    an (n, k, 3k + 1) array whose transposed reshape is LAPACK's
+    Fortran-ordered band storage, so ``gbtrf`` factors it in place with
+    no copy; each solve is one ``gbtrs``, in place on the node-major copy
+    of F.  For k = 1 the matrix is tridiagonal and ``factor_tridiag``
+    does the same.  These are the eliminations ``solve_banded((k, k),
+    ...)`` performs, so solutions equal its bit for bit.  A non-finite
+    band entry, such as the square of a huge U, raises ValueError.
     """
     k, n = U.shape
-    diag = grid.op_diag - 3 * U**2 + beta * _cross_sq(U)
+    sq = U**2
+    diag = grid.op_diag - 3 * sq + beta * _cross_sq(U, sq)
     diag[:, -1] = 1.0  # identity row at r_max
     lower = grid.op_lower.copy()
     lower[-1] = 0.0
     if k == 1:
         tri = factor_tridiag(lower, diag[0], grid.op_upper)
         return lambda F: tri(F[0])[None, :]
-    # LAPACK band storage with k rows for fill-in on top: entry (p, q)
-    # sits in row 2k + p - q, column q = k * node + component
-    ab = np.zeros((3 * k + 1, n, k))
-    ab[2 * k] = diag.T
-    ab[k, 1:] = grid.op_upper[:, None]
-    ab[3 * k, :-1] = lower[:, None]
+    # band storage with k rows for fill-in on top: entry (p, q) sits in
+    # row 2k + p - q, column q = k * node + component; row is the last axis
+    band = np.zeros((n, k, 3 * k + 1))
+    band[:, :, 2 * k] = diag.T
+    band[1:, :, k] = grid.op_upper[:, None]
+    band[:-1, :, 3 * k] = lower[:, None]
     C = 2 * beta * U[:, None, :] * U[None, :, :]  # dF_i/dU_j at each node
     C[:, :, -1] = 0.0
     for i in range(k):
         for j in range(k):
             if j != i:
-                ab[2 * k + i - j, :, j] = C[i, j]
-    ab = ab.reshape(3 * k + 1, n * k)
+                band[:, j, 2 * k + i - j] = C[i, j]
+    ab = band.reshape(n * k, 3 * k + 1).T
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
-    lu, piv, info = dgbtrf(ab, k, k)
+    lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=1)
     if info > 0:
         raise LinAlgError("singular matrix")
 
     def solve(F):
-        x, _ = dgbtrs(lu, k, k, F.T.reshape(-1), piv)
+        # flatten always copies, so gbtrs may overwrite its argument
+        x, _ = dgbtrs(lu, k, k, F.T.flatten(), piv, overwrite_b=1)
         return x.reshape(n, k).T
 
     return solve
@@ -458,18 +466,25 @@ def newton_refine(beta: float, ensemble: PulseEnsemble,
     return _certify(beta, grid, assignment, U, centers, target)
 
 
-def _tangent(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
+def _tangent(grid: RadialGrid, beta: float, U: np.ndarray,
+             solve=None) -> np.ndarray:
     """Branch tangent dU/dlog10(beta) = -J^{-1} dF/dlog10(beta) at a
-    converged state: one factorization and one solve."""
+    converged state: one solve, after one factorization at U unless
+    `solve` brings factors of its own.  The walk passes the factors of
+    its corrector's last step, taken one Newton step before U: they move
+    the tangent by the order of that step.
+    """
     dF = np.log(10.0) * beta * U * _cross_sq(U)
     dF[:, -1] = 0.0
-    return _jacobian_solver(grid, beta, U)(-dF)
+    if solve is None:
+        solve = _jacobian_solver(grid, beta, U)
+    return solve(-dF)
 
 
-def _correct(grid: RadialGrid, beta: float,
-             U: np.ndarray) -> Optional[np.ndarray]:
-    """Full-step Newton from a predicted state; the converged state, or
-    None once the trial is judged outside the Newton basin.
+def _correct(grid: RadialGrid, beta: float, U: np.ndarray):
+    """Full-step Newton from a predicted state; (the converged state, the
+    solve of its last factorization), or None once the trial is judged
+    outside the Newton basin.
 
     After each step dU, one more solve with the same factors gives the
     simplified-Newton correction at U + dU, and its ratio to dU in the
@@ -479,12 +494,16 @@ def _correct(grid: RadialGrid, beta: float,
     Theta < 1/2 every correction at least halves; accepted trials on the
     reference sweeps take 2 to 6 steps, and 20 bounds a slow contraction.
     A state is converged under the rule of `coupled_newton` (`_converged`).
+    The returned solve holds the Jacobian factors at the state before the
+    last step, for `_tangent`; it is None when the prediction was
+    converged already.
     """
     F = residual_components(grid, beta, U)
     done = _converged(grid, beta, U, F)
+    solve = None
     for _ in range(20):
         if done:
-            return U
+            return U, solve
         solve = _jacobian_solver(grid, beta, U)
         dU = solve(-F)
         U = U + dU
@@ -493,7 +512,7 @@ def _correct(grid: RadialGrid, beta: float,
         if not done and not (
                 np.max(np.abs(solve(-F))) < 0.5 * np.max(np.abs(dU))):
             return None
-    return U if done else None
+    return (U, solve) if done else None
 
 
 def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
@@ -503,27 +522,31 @@ def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
     b_from.  Each trial predicts along the tangent and corrects with
     `_correct`; the log-coupling step grows by 1.7 after an accepted
     trial and shrinks by 0.35 after a rejected one, and every segment
-    between targets starts at 0.25 decade or less.  Returns the converged
-    states at the targets reached, in order, and the coupling reached: the
-    walk stops short when the step falls under 1e-4 decade or after 400
-    corrector calls.
+    between targets starts at 0.25 decade or less.  The tangent at an
+    accepted state reuses the factors the corrector returned with it, so
+    only the tangent at b_from costs a factorization of its own.  Returns
+    the converged states at the targets reached, in order, and the
+    coupling reached: the walk stops short when the step falls under 1e-4
+    decade or after 400 corrector calls.
     """
     states = []
     pos = np.log10(b_from)
-    tangent = None
+    tangent = factors = None
     solves = 0
     for b_to in targets:
         lt = np.log10(b_to)
         step = float(np.clip(lt - pos, -0.25, 0.25))
         while pos != lt:
             if tangent is None:
-                tangent = _tangent(grid, 10.0**pos, U)
+                tangent = _tangent(grid, 10.0**pos, U, factors)
+                # free those factors before the corrector makes its own
+                factors = corrected = None
             trial = pos + step if abs(step) < abs(lt - pos) else lt
             beta = b_to if trial == lt else 10.0**trial
-            U2 = _correct(grid, beta, U + (trial - pos) * tangent)
+            corrected = _correct(grid, beta, U + (trial - pos) * tangent)
             solves += 1
-            if U2 is not None:
-                U, pos, tangent = U2, trial, None
+            if corrected is not None:
+                (U, factors), pos, tangent = corrected, trial, None
                 step *= 1.7
             else:
                 step *= 0.35

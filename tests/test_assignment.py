@@ -23,7 +23,9 @@ def test_gap_in_components_rejected():
         af.build_assignment((1, 3, 1))
 
 
-@pytest.mark.parametrize("sigma", [(), (0, 1), (1, -2), (1, 2.5)])
+# (True, 2) and the like used to pass as (1, 2): True == int(True) == 1
+@pytest.mark.parametrize("sigma", [(), (0, 1), (1, -2), (1, 2.5), (True, 2),
+                                   (2, True), (1, 2, True, 2)])
 def test_malformed_sigma_rejected(sigma):
     with pytest.raises(af.ConfigError):
         af.build_assignment(sigma)

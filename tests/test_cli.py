@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from artifact import cli
@@ -307,13 +308,16 @@ def test_legacy_outer_tol_key_is_dropped(tmp_path, key, value):
                                    {"h": 2.5}, {"beta_schedule": ["x"]},
                                    {"r_max": float("nan")}, {"r_max": float("inf")},
                                    {"tol_nehari": float("nan")}, {"dimension": True},
-                                   {"h": 2, "sigma": [True, 2]}])
+                                   {"h": 2, "sigma": [True, 2]}, {"r_max": True},
+                                   {"tol_nehari": True},
+                                   {"beta_schedule": [True, 10.0]},
+                                   {"beta_schedule": [0.5, True]}])
 def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
     # sigma [1, 2.5, 1] and n_points 257.5 used to run silently as
     # (1, 2, 1) and 257; the others escaped main as a bare ValueError or
     # TypeError, h = 2.5 only once the profile was computed.  JSON true
-    # ran as 1, and r_max NaN was caught only after the run directory was
-    # made
+    # ran as 1 (r_max and tol_nehari were written back as true), and
+    # r_max NaN was caught only after the run directory was made
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(cli.ExperimentConfig().to_dict(), **entry)))
     with pytest.raises(cli.ConfigError):
@@ -322,6 +326,19 @@ def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
                            capsys)
     assert rc == 2 and json.loads(err.strip())["error"] == "config"
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_columns_are_written_as_one_format_per_value(tmp_path):
+    # the row format must give the bytes of "%.17g" applied value by value
+    r = np.linspace(0.0, 3.0, 7)
+    cols = {"a": [-0.0, 5e-324, 1e-300, 1e300, np.nan, 3.0, -2.0],
+            "b": [0.0, 1.0, -1e-310, 0.1, 2.0**53, 123456789.0, -np.inf]}
+    path = tmp_path / "cols.csv"
+    cli._write_columns(str(path), r, cols)
+    lines = ["r,a,b"] + [",".join("%.17g" % float(x) for x in row)
+                         for row in zip(r, cols["a"], cols["b"])]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert b"-0," in path.read_bytes() and b"nan" in path.read_bytes()
 
 
 def test_beta_tags_are_distinct_and_read_back_exactly():

@@ -19,6 +19,10 @@ from artifact.grid import apply_tridiag, h1_norm_sq, solve_tridiag
     {"beta_schedule": (np.nan,)},
     {"beta_schedule": (1.0, np.inf)},
     {"beta_schedule": (10.0, np.nan, 100.0)},
+    # a boolean, as JSON true, used to run as beta = 1
+    {"beta_schedule": (True,)},
+    {"beta_schedule": (True, 10.0)},
+    {"beta_schedule": (0.5, True)},
 ])
 def test_solver_config_rejects(kw):
     with pytest.raises(af.ConfigError):
@@ -69,6 +73,42 @@ def test_split_components_partitions_positive_part(rng):
     # the cut separates the two bumps of component 1
     assert np.argmax(P[0]) < np.argmax(P[2])
     assert P[0][np.argmax(P[2])] == 0.0
+
+
+def _centers_loop(assignment, U, reference):
+    # the node-by-node scan component_centers used before numpy
+    centers = list(reference)
+    for i in range(1, assignment.k + 1):
+        qs = [q for q in range(assignment.h) if assignment.sigma[q] == i]
+        u = U[i - 1]
+        peak = float(u.max())
+        if peak <= 0:
+            continue
+        cand = []
+        for j in range(len(u) - 1):
+            left = u[j - 1] if j > 0 else -np.inf
+            if u[j] > left and u[j] >= u[j + 1] and u[j] > 1e-3 * peak:
+                cand.append(j)
+        cand = sorted(sorted(cand, key=lambda j: u[j])[-len(qs):])
+        if len(cand) == len(qs):
+            for q, j in zip(qs, cand):
+                centers[q] = int(j)
+    return centers
+
+
+def test_component_centers_match_the_node_scan(guess_h2, rng):
+    # plateaus, ties and maxima at the origin and next to r_max, on small
+    # integer fields, and a state with smooth bumps
+    a = af.build_assignment((1, 2, 1, 3, 2))
+    g = af.build_grid(2, 64, 10.0)
+    for _ in range(300):
+        U = rng.integers(0, 4, size=(3, g.n_points)).astype(float)
+        ref = [int(c) for c in rng.integers(0, g.n_points, size=5)]
+        assert af.solver.component_centers(g, a, U, ref) == _centers_loop(a, U, ref)
+    U = guess_h2.components()
+    a2 = guess_h2.assignment
+    assert (af.solver.component_centers(guess_h2.grid, a2, U, [0, 0])
+            == _centers_loop(a2, U, [0, 0]))
 
 
 def test_newton_from_perturbed_single_field(grid_n1, soliton_profile):
@@ -308,6 +348,73 @@ def test_jacobian_solver_matches_solve_banded(k, rng):
             F = rng.standard_normal(U.shape)
             ref = solve_banded((k, k), ab, F.T.reshape(-1)).reshape(g.n_points, k).T
             assert np.array_equal(solve(F), ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_jacobian_solver_rejects_an_overflowing_square(k):
+    # U is finite but U^2 is not: the assembled band, not only U, must be
+    # checked before LAPACK sees it
+    g = af.build_grid(2, 65, 10.0)
+    U = np.full((k, g.n_points), 1e-3)
+    U[0, 5] = 1e160
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        af.solver._jacobian_solver(g, 1.0, U)
+
+
+def test_walk_tangent_from_the_correctors_factors(guess_h2):
+    # the factors of the corrector's last step, one Newton step before
+    # the converged state, give the tangent there to the order of that
+    # step: measured 2.2e-8 and 4.8e-8 relative
+    g = guess_h2.grid
+    beta = 1000.0
+    U, res, _ = af.coupled_newton(g, beta, guess_h2.components(), maxit=120)
+    tangent = af.solver._tangent(g, beta, U)
+    for step in (-0.1, 0.1):
+        b2 = beta * 10.0**step
+        V, solve = af.solver._correct(g, b2, U + step * tangent)
+        assert solve is not None
+        reused = af.solver._tangent(g, b2, V, solve)
+        fresh = af.solver._tangent(g, b2, V)
+        assert np.max(np.abs(reused - fresh)) < 1e-6 * np.max(np.abs(fresh))
+
+
+def test_walk_factors_only_its_first_tangent_outside_the_corrector(
+        guess_h2, monkeypatch):
+    # every accepted trial hands its last factors to the next tangent, so
+    # the walk factors once at its start and otherwise only in `_correct`
+    g = guess_h2.grid
+    U, _, _ = af.coupled_newton(g, 1000.0, guess_h2.components(), maxit=120)
+    real_factor, real_correct = af.solver._jacobian_solver, af.solver._correct
+    outside, inside = [], []
+    in_correct = []
+
+    def factor(*args):
+        (inside if in_correct else outside).append(1)
+        return real_factor(*args)
+
+    def correct(*args):
+        in_correct.append(1)
+        try:
+            return real_correct(*args)
+        finally:
+            in_correct.pop()
+
+    monkeypatch.setattr("artifact.solver._jacobian_solver", factor)
+    monkeypatch.setattr("artifact.solver._correct", correct)
+    states, reached = af.solver._walk_beta(g, U, 1000.0, [100.0, 10.0, 1.0])
+    assert len(states) == 3 and reached == 1.0
+    assert len(outside) == 1 and len(inside) > 3
+
+
+def test_sweep_anchor_damping_is_predicted():
+    # the beta = 1e4 anchor of the 13-stage benchmark sweep: 97 damped
+    # steps when each step restarted at t = 1, 58 with the predicted t
+    g = af.build_grid(2, 2049, 30.0)
+    guess = af.initial_guess(af.compute_c_infinity(g, 5),
+                             af.build_assignment((1, 2, 1, 3, 2)))
+    U, res, steps = af.coupled_newton(g, 1e4, guess.components(), maxit=120)
+    assert af.solver._converged(g, 1e4, U, af.residual_components(g, 1e4, U))
+    assert steps <= 65
 
 
 def test_fine_grid_anchor_accepts_at_the_roundoff_of_its_rows():
