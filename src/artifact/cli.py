@@ -54,6 +54,8 @@ class ExperimentConfig:
         for name in ("r_max", "tol_nehari"):
             if isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be a number, not a boolean")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
         if self.dimension not in (1, 2, 3):
             raise ConfigError("dimension must be 1, 2 or 3")
         if self.n_points < 16:
@@ -185,11 +187,17 @@ def _write_columns(path: str, r: np.ndarray, cols: dict) -> None:
         f.writelines(fmt % tuple(row.tolist()) for row in rows)
 
 
-def _read_columns(path: str):
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    return header, data
+def _read_columns(path: str, count: int) -> np.ndarray:
+    """The first `count` columns after r of a CSV that `_write_columns`
+    wrote, one row each."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if data.shape[1] < 1 + count:
+        raise ConfigError(f"{path} has {data.shape[1] - 1} columns after r, "
+                          f"not {count}")
+    return data[:, 1:1 + count].T.copy()
 
 
 def _beta_tag(beta: float) -> str:
@@ -251,8 +259,9 @@ def write_stage(run_dir: str, config: ExperimentConfig, profile: NodalProfile,
         grid.nodes,
         {f"p_{q + 1}": p for q, p in enumerate(record.ensemble.pulses)},
     )
-    diag = build_report(record.beta, record.ensemble, profile, record.maximizer)
-    payload = {"record": record.to_dict(), "diagnostics": diag.to_dict()}
+    payload = {"record": record.to_dict(),
+               "diagnostics": build_report(record.beta, record.ensemble,
+                                           profile, record.maximizer)}
     with open(os.path.join(run_dir, f"record_beta{tag}.json"), "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
@@ -370,32 +379,37 @@ def cmd_report(args) -> int:
     jpath, cpath = _profile_paths(run_dir)
     if not (os.path.isfile(jpath) and os.path.isfile(cpath)):
         raise ConfigError(f"{run_dir} has no stored profile")
-    with open(jpath) as f:
-        meta = json.load(f)
-    grid = build_grid(meta["dimension"], meta["n_points"], meta["r_max"])
-    _, bump_data = _read_columns(cpath)
-    bumps = [bump_data[:, 1 + l].copy() for l in range(meta["h"])]
-    profile = NodalProfile(
-        grid=grid,
-        h=meta["h"],
-        bumps=bumps,
-        node_radii=tuple(meta["node_radii"]),
-        energies=tuple(meta["energies"]),
-        c_value=meta["c_infinity"],
-    )
+    try:
+        with open(jpath) as f:
+            meta = json.load(f)
+        grid = build_grid(meta["dimension"], meta["n_points"], meta["r_max"])
+        profile = NodalProfile(
+            grid=grid,
+            h=meta["h"],
+            bumps=list(_read_columns(cpath, meta["h"])),
+            node_radii=tuple(meta["node_radii"]),
+            energies=tuple(meta["energies"]),
+            c_value=meta["c_infinity"],
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{jpath} has no key {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read {jpath}: {exc}") from exc
     assignment = build_assignment(config.sigma)
     reports = {}
     for name in sorted(os.listdir(run_dir)):
         if not (name.startswith("pulses_beta") and name.endswith(".csv")):
             continue
+        path = os.path.join(run_dir, name)
         tag = name[len("pulses_beta") : -len(".csv")]
-        beta = float(tag)
-        _, pdata = _read_columns(os.path.join(run_dir, name))
-        pulses = np.array([pdata[:, 1 + q] for q in range(assignment.h)])
+        try:
+            beta = float(tag)
+        except ValueError as exc:
+            raise ConfigError(f"{path} names no coupling") from exc
+        pulses = _read_columns(path, assignment.h)
         ensemble = PulseEnsemble(grid, assignment, pulses)
         rep = maximize_phi(beta, ensemble)
-        diag = build_report(beta, ensemble, profile, rep)
-        entry = diag.to_dict()
+        entry = build_report(beta, ensemble, profile, rep)
         U = ensemble.components(rep.lambda_bar)
         R = residual_components(grid, beta, U)
         # least slope sum_q <R_sigma(q), v_q> over probes 0 <= v_q <= 1

@@ -52,8 +52,6 @@ class PulseEnsemble:
 
     def components(self, lam=None) -> np.ndarray:
         """U_i = sum of (scaled) pulses assigned to component i; shape (k, n)."""
-        if isinstance(lam, LambdaVector):
-            lam = lam.values
         k = self.assignment.k
         U = np.zeros((k, self.grid.n_points))
         for l, i in enumerate(self.assignment.sigma):
@@ -63,20 +61,13 @@ class PulseEnsemble:
 
 
 @dataclass
-class LambdaVector:
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
-            raise ConfigError("scaling coefficients must be positive and finite")
-
-
-@dataclass
 class MaximizerReport:
-    lambda_bar: LambdaVector
+    """The scaling maximizer lambda_bar and the maximum phi(lambda_bar).
+    `maximize_phi` returns one only at a maximum: a stationary point whose
+    Hessian is not negative definite raises SaddleScaling instead."""
+
+    lambda_bar: np.ndarray
     m_value: float
-    hessian_negdef: bool
 
 
 def overlap_matrix(grid: RadialGrid, U: np.ndarray) -> np.ndarray:
@@ -233,9 +224,6 @@ def maximize_phi(beta: float, ensemble: PulseEnsemble, x0=None) -> MaximizerRepo
         raise NonConvergence(
             f"gradient norm {gn:.2e} above tolerance {GRADIENT_TOL:.1e}"
         )
-    return MaximizerReport(
-        lambda_bar=LambdaVector(lam),
-        m_value=float(phi(beta, ensemble, lam)),
-        hessian_negdef=True,  # otherwise SaddleScaling was raised
-    )
+    return MaximizerReport(lambda_bar=lam,
+                           m_value=float(phi(beta, ensemble, lam)))
 

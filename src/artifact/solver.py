@@ -37,7 +37,6 @@ from .grid import (
     RadialGrid,
     apply_tridiag,
     converged,
-    factor_tridiag,
     h1_norm_sq,
     newton,
     normal_power,
@@ -92,7 +91,6 @@ class SolutionRecord:
     d_to_K: float
     overlaps: np.ndarray
     in_nehari: bool
-    hessian_negdef: bool = False
     accepted: bool = False
     maximizer: Optional[MaximizerReport] = field(default=None, repr=False)
 
@@ -105,7 +103,6 @@ class SolutionRecord:
             "d_to_K": self.d_to_K,
             "overlaps": [[float(x) for x in row] for row in self.overlaps],
             "in_nehari": self.in_nehari,
-            "hessian_negdef": self.hessian_negdef,
             "accepted": self.accepted,
         }
 
@@ -230,10 +227,10 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
     an (n, k, 3k + 1) array whose transposed reshape is LAPACK's
     Fortran-ordered band storage, so ``gbtrf`` factors it in place with
     no copy; each solve is one ``gbtrs``, in place on the node-major copy
-    of F.  For k = 1 the matrix is tridiagonal and ``factor_tridiag``
-    does the same.  These are the eliminations ``solve_banded((k, k),
-    ...)`` performs, so solutions equal its bit for bit.  A non-finite
-    band entry, such as the square of a huge U, raises ValueError.
+    of F.  These are the eliminations of LAPACK ``gbsv``, which
+    ``solve_banded((k, k), ...)`` calls for k >= 2, so solutions equal its
+    bit for bit.  A non-finite band entry, such as the square of a huge U,
+    raises ValueError.
     """
     k, n = U.shape
     sq = U**2
@@ -241,9 +238,6 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
     diag[:, -1] = 1.0  # identity row at r_max
     lower = grid.op_lower.copy()
     lower[-1] = 0.0
-    if k == 1:
-        tri = factor_tridiag(lower, diag[0], grid.op_upper)
-        return lambda F: tri(F[0])[None, :]
     # band storage with k rows for fill-in on top: entry (p, q) sits in
     # row 2k + p - q, column q = k * node + component; row is the last axis
     band = np.zeros((n, k, 3 * k + 1))
@@ -334,7 +328,7 @@ def minimize_m_beta(beta: float, start: PulseEnsemble,
     w = grid.quad_weights
     P = start.pulses.copy()
     report = maximize_phi(beta, start)
-    lam = report.lambda_bar.values.copy()
+    lam = report.lambda_bar.copy()
     centers = [int(np.argmax(P[q])) for q in range(h)]
     ens = PulseEnsemble(grid, assignment, P)
     U = ens.components(lam)
@@ -374,7 +368,7 @@ def minimize_m_beta(beta: float, start: PulseEnsemble,
                 continue
             Mn = rep_n.m_value
             if Mn < M - 1e-4 * t * gsq:
-                U, P, lam, M = Un, Pn, rep_n.lambda_bar.values.copy(), Mn
+                U, P, lam, M = Un, Pn, rep_n.lambda_bar.copy(), Mn
                 ok = True
                 if trace is not None:
                     trace.append(M)
@@ -405,9 +399,8 @@ def _certify(beta: float, grid: RadialGrid, assignment: Assignment,
              target: Optional[NodalProfile]) -> SolutionRecord:
     """The record of a Newton-converged state U: its pulses, cut at the
     given centers, and the scaling maximum that certifies them.  It is
-    accepted when its residual lies under ACCEPT_RESIDUAL, its scalings
-    are 1 within LAMBDA_UNIT_TOL and the scaling Hessian is negative
-    definite.
+    accepted when its residual lies under ACCEPT_RESIDUAL and its
+    scalings are 1 within LAMBDA_UNIT_TOL.
 
     Between a component's pulses at strong coupling the true values
     (1e-100 and below) lie far under NEWTON_TOL, so U can be
@@ -427,7 +420,7 @@ def _certify(beta: float, grid: RadialGrid, assignment: Assignment,
     P = split_components(grid, assignment, U, centers)
     refined = PulseEnsemble(grid, assignment, P)
     rep = maximize_phi(beta, refined)
-    lam_bar = rep.lambda_bar.values
+    lam_bar = rep.lambda_bar
     in_nehari = bool(np.max(np.abs(lam_bar - 1.0)) < LAMBDA_UNIT_TOL)
     energy = coupled_energy(grid, beta, U)
     d_to_K = pulse_distance(refined, target) if target is not None else float("nan")
@@ -440,10 +433,7 @@ def _certify(beta: float, grid: RadialGrid, assignment: Assignment,
         d_to_K=d_to_K,
         overlaps=overlap_matrix(grid, U),
         in_nehari=in_nehari,
-        hessian_negdef=rep.hessian_negdef,
-        accepted=bool(resid < ACCEPT_RESIDUAL)
-        and in_nehari
-        and rep.hessian_negdef,
+        accepted=bool(resid < ACCEPT_RESIDUAL) and in_nehari,
         maximizer=rep,
     )
 
@@ -458,7 +448,7 @@ def newton_refine(beta: float, ensemble: PulseEnsemble,
     grid = ensemble.grid
     assignment = ensemble.assignment
     report = maximize_phi(beta, ensemble)
-    U0 = ensemble.components(report.lambda_bar.values)
+    U0 = ensemble.components(report.lambda_bar)
     U, resid, _ = coupled_newton(grid, beta, U0, maxit=80)
     if resid > ACCEPT_RESIDUAL:
         raise NewtonDivergence(f"coupled solve stalled at residual {resid:.2e}")

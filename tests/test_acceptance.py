@@ -157,7 +157,7 @@ def test_03_scaling_maximum_closed_form_and_grid_search(planar_cases):
     a = af.h1_norm_sq(grid, single.pulses[0])
     b = float(np.dot(grid.quad_weights, single.pulses[0] ** 4))
     rep = af.maximize_phi(7.0, single)
-    assert rep.lambda_bar.values[0] == pytest.approx(np.sqrt(a / b), rel=1e-12)
+    assert rep.lambda_bar[0] == pytest.approx(np.sqrt(a / b), rel=1e-12)
     assert rep.m_value == pytest.approx(a * a / (4.0 * b), rel=1e-12)
 
     for sigma in ((1, 2), (1, 2, 1)):
@@ -232,14 +232,16 @@ def test_05_scaling_maximizer_unique_and_structured(example_sweep):
         for _ in range(32):
             x0 = rng.uniform(0.5, 2.0, size=example_sweep["assignment"].h)
             rep = af.maximize_phi(rec.beta, rec.ensemble, x0=x0)
-            assert rep.hessian_negdef
-            lams.append(rep.lambda_bar.values)
+            lams.append(rep.lambda_bar)
         lams = np.array(lams)
         assert np.max(lams.max(axis=0) - lams.min(axis=0)) < 1e-8
         assert np.max(np.abs(lams - np.asarray(rec.lambda_bar))) < 1e-8
         assert np.min(rec.lambda_bar) > 0.5
         assert np.dot(rec.lambda_bar, rec.lambda_bar) < radius_cap
-        assert rec.maximizer.hessian_negdef
+        # the record's scalings are its maximizer's, a strict maximum
+        assert np.array_equal(rec.maximizer.lambda_bar, rec.lambda_bar)
+        _, _, H = _poly(*_tensors(rec.beta, rec.ensemble), rec.lambda_bar)
+        assert np.linalg.eigvalsh(H).max() < 0
 
 
 def test_06_sweep_energies_monotone_and_bounded(example_sweep):

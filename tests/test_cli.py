@@ -251,6 +251,61 @@ def test_report_missing_run(tmp_path, capsys):
     assert rc == 2
 
 
+def _stray_pulses_file(run):
+    shutil.copy(run / "pulses_beta10.csv", run / "pulses_beta10.bak.csv")
+    return ["report", "--run", str(run)], "pulses_beta10.bak.csv"
+
+
+def _profile_without_node_radii(run):
+    meta = json.loads((run / "profile.json").read_text())
+    del meta["node_radii"]
+    (run / "profile.json").write_text(json.dumps(meta))
+    return ["report", "--run", str(run)], "node_radii"
+
+
+def _pulses_missing_a_column(run):
+    path = run / "pulses_beta10.csv"
+    rows = [line.split(",")[:2] for line in path.read_text().splitlines()]
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return ["report", "--run", str(run)], "pulses_beta10.csv"
+
+
+def _profile_not_json(run):
+    (run / "profile.json").write_text("{")
+    return ["report", "--run", str(run)], "profile.json"
+
+
+def _pulses_not_numbers(run):
+    path = run / "pulses_beta10.csv"
+    path.write_text(path.read_text().replace("\n0,", "\nx,", 1))
+    return ["report", "--run", str(run)], "pulses_beta10.csv"
+
+
+def _output_dir_not_a_string(run):
+    path = run.parent / "f.json"
+    path.write_text(json.dumps({"dimension": 1, "n_points": 513, "r_max": 16.0,
+                                "h": 1, "sigma": [1], "output_dir": 5}))
+    return ["scalar", "--config", str(path)], "output_dir"
+
+
+@pytest.mark.parametrize("spoil", [_stray_pulses_file, _profile_without_node_radii,
+                                   _pulses_missing_a_column, _profile_not_json,
+                                   _pulses_not_numbers, _output_dir_not_a_string],
+                         ids=["stray-file", "missing-key", "missing-column",
+                              "not-json", "not-numbers", "output-dir"])
+def test_malformed_run_input_is_a_config_error(sweep_pair, tmp_path, capsys, spoil):
+    # each escaped main as a traceback with exit 1: ValueError from the
+    # file's tag, KeyError, IndexError, JSONDecodeError, ValueError from
+    # loadtxt, and TypeError from os.makedirs
+    run = tmp_path / "run"
+    shutil.copytree(sweep_pair[0], run)
+    argv, named = spoil(run)
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and len(err.splitlines()) == 1
+    blob = json.loads(err)
+    assert blob["error"] == "config" and named in blob["message"]
+
+
 def test_config_round_trip(tmp_path):
     cfg = cli.ExperimentConfig(
         dimension=3, n_points=1025, r_max=20.0, h=3, sigma=(1, 2, 3),
