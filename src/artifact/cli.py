@@ -106,6 +106,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return ExperimentConfig(**kwargs)
+    except ConfigError:
+        # ExperimentConfig's own checks name what is wrong
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config value of the wrong type: {exc}") from exc
 

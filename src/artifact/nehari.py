@@ -113,8 +113,9 @@ def _tensors(beta, ensemble):
     component.  D is the Gram matrix of the pulse products P_l P_s: a
     quartic term pairs two same-component products, with weight -1 when
     both lie in one component and +beta when they lie in two; products
-    that mix components never occur.  D is symmetrized over the three
-    pairings, so its contractions give the gradient and Hessian.
+    that mix components never occur, so they are not formed and their
+    entries are 0.  D is symmetrized over the three pairings, so its
+    contractions give the gradient and Hessian.
     """
     grid = ensemble.grid
     P = ensemble.pulses
@@ -126,12 +127,13 @@ def _tensors(beta, ensemble):
         for s in range(l, h):
             if same[l, s]:
                 Q[l, s] = Q[s, l] = h1_inner(grid, P[l], P[s])
-    W = (P[:, None, :] * P[None, :, :]).reshape(h * h, -1)
-    gram = (W * grid.quad_weights) @ W.T
-    pair = np.where(same, comp[:, None], 0).ravel()  # 0: mixed product
+    l, s = np.nonzero(same)  # the same-component products P_l P_s
+    W = P[l] * P[s]
+    pair = comp[l]
     weight = np.where(pair[:, None] == pair[None, :], -1.0, beta)
-    weight[(pair[:, None] == 0) | (pair[None, :] == 0)] = 0.0
-    D = (weight * gram).reshape(h, h, h, h)
+    D = np.zeros((h * h, h * h))
+    D[np.ix_(l * h + s, l * h + s)] = weight * ((W * grid.quad_weights) @ W.T)
+    D = D.reshape(h, h, h, h)
     D = (D + D.transpose(0, 2, 1, 3) + D.transpose(0, 3, 2, 1)) / 3.0
     return Q, D
 

@@ -383,6 +383,28 @@ def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize("entry, message",
+                         [({"n_points": 8}, "n_points must be at least 16"),
+                          ({"output_dir": 5}, "output_dir must be a string")],
+                         ids=["n_points-range", "output_dir-type"])
+def test_config_checks_keep_their_own_message(tmp_path, capsys, entry, message):
+    # these were reported as "config value of the wrong type: ..." because
+    # ConfigError is a ValueError
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(cli.ExperimentConfig().to_dict(), **entry)))
+    rc, out, err = run_cli(["scalar", "--config", str(path)], capsys)
+    assert rc == 2 and len(err.splitlines()) == 1
+    blob = json.loads(err)
+    assert blob["error"] == "config" and blob["message"] == message
+
+
+def test_config_type_errors_keep_their_prefix(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sigma": 5}))
+    with pytest.raises(cli.ConfigError, match="^config value of the wrong type: "):
+        cli.load_config(path)
+
+
 def test_columns_are_written_as_one_format_per_value(tmp_path):
     # the row format must give the bytes of "%.17g" applied value by value
     r = np.linspace(0.0, 3.0, 7)

@@ -320,6 +320,34 @@ def test_tangent_predictor_is_first_order(guess_h2):
     assert errors[0] >= 3.0 * errors[1]
 
 
+def test_hermite_predictor_is_third_order(guess_h2):
+    # through converged states at 10^3.1 and 10^3 and their tangents, the
+    # cubic Hermite guess errs by O(s^2 (s - h)^2) with h = 0.1: from
+    # s = -0.1 to -0.2 its error grows by 9 in theory and 9.1 measured,
+    # while the tangent line's O(s^2) error grows by 4.1; measured, the
+    # Hermite error is 1.9 % and 0.8 % of the tangent line's
+    g = guess_h2.grid
+    beta, h = 1000.0, 0.1
+    U, res, _ = af.coupled_newton(g, beta, guess_h2.components(), maxit=120)
+    assert res < 1e-10
+    tangent = af.solver._tangent(g, beta, U)
+    b_prev = beta * 10.0**h
+    U_prev, res, _ = af.coupled_newton(g, b_prev, U + h * tangent, maxit=120)
+    assert res < 1e-10
+    previous = (np.log10(b_prev), U_prev, af.solver._tangent(g, b_prev, U_prev))
+    hermite = af.solver._predictor(np.log10(beta), U, tangent, previous)
+    errors = []
+    for step in (-0.2, -0.1):
+        pred = hermite(step)
+        V, res, _ = af.coupled_newton(g, beta * 10.0**step, pred, maxit=120)
+        assert res < 1e-10
+        errors.append(np.max(np.abs(V - pred)))
+        line = np.max(np.abs(V - (U + step * tangent)))
+        assert errors[-1] < 0.05 * line
+    assert errors[1] > 1e-8
+    assert 7.0 <= errors[0] / errors[1] <= 11.0
+
+
 def _jacobian_bands_loop(grid, beta, U):
     # the band assembly coupled_newton used before the numpy helper, in
     # solve_banded((k, k)) layout
@@ -443,15 +471,43 @@ def test_walk_factors_only_its_first_tangent_outside_the_corrector(
     assert len(outside) == 1 and len(inside) > 3
 
 
-def test_sweep_anchor_damping_is_predicted():
+@pytest.fixture(scope="module")
+def sweep_dense_profile():
+    # the grid, profile and assignment of the 13-stage benchmark sweep
+    g = af.build_grid(2, 2049, 30.0)
+    return af.compute_c_infinity(g, 5), af.build_assignment((1, 2, 1, 3, 2))
+
+
+def test_sweep_anchor_damping_is_predicted(sweep_dense_profile):
     # the beta = 1e4 anchor of the 13-stage benchmark sweep: 97 damped
     # steps when each step restarted at t = 1, 58 with the predicted t
-    g = af.build_grid(2, 2049, 30.0)
-    guess = af.initial_guess(af.compute_c_infinity(g, 5),
-                             af.build_assignment((1, 2, 1, 3, 2)))
+    profile, assignment = sweep_dense_profile
+    g = profile.grid
+    guess = af.initial_guess(profile, assignment)
     U, res, steps = af.coupled_newton(g, 1e4, guess.components(), maxit=120)
     assert af.solver._converged(g, 1e4, U, af.residual_components(g, 1e4, U))
     assert steps <= 65
+
+
+def test_sweep_walk_factorizations(sweep_dense_profile, monkeypatch):
+    # one continuation over the 13-stage benchmark sweep, anchor included:
+    # 242 Jacobian factorizations with the tangent predictor, 149 with the
+    # cubic Hermite one
+    profile, assignment = sweep_dense_profile
+    real_factor = af.solver._jacobian_solver
+    count = []
+
+    def factor(*args):
+        count.append(1)
+        return real_factor(*args)
+
+    monkeypatch.setattr("artifact.solver._jacobian_solver", factor)
+    cfg = af.SolverConfig(beta_schedule=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
+                                         200.0, 500.0, 1e3, 2e3, 5e3, 1e4))
+    with pytest.warns(af.StageFailure, match="beta=1 failed"):
+        recs = af.continuation(profile, assignment, cfg)
+    assert [r.beta for r in recs] == list(cfg.beta_schedule[1:])
+    assert len(count) <= 165
 
 
 def test_fine_grid_anchor_accepts_at_the_roundoff_of_its_rows():
