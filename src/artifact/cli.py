@@ -373,6 +373,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# the JSON types of the profile.json values that report reads, bool excluded
+PROFILE_TYPES = {"dimension": int, "n_points": int, "h": int,
+                 "r_max": (int, float), "c_infinity": (int, float),
+                 "node_radii": list, "energies": list}
+
+
 def cmd_report(args) -> int:
     run_dir = args.run
     cfg_path = os.path.join(run_dir, "config.json")
@@ -385,6 +391,11 @@ def cmd_report(args) -> int:
     try:
         with open(jpath) as f:
             meta = json.load(f)
+        for key, kind in PROFILE_TYPES.items():
+            value = meta[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{jpath} key {key!r} holds a "
+                                  f"{type(value).__name__}")
         grid = build_grid(meta["dimension"], meta["n_points"], meta["r_max"])
         profile = NodalProfile(
             grid=grid,
@@ -407,8 +418,11 @@ def cmd_report(args) -> int:
         tag = name[len("pulses_beta") : -len(".csv")]
         try:
             beta = float(tag)
-        except ValueError as exc:
-            raise ConfigError(f"{path} names no coupling") from exc
+        except ValueError:
+            beta = np.nan
+        # the rule of solve --beta
+        if not 0 <= beta < np.inf:
+            raise ConfigError(f"{path} names no coupling")
         pulses = _read_columns(path, assignment.h)
         ensemble = PulseEnsemble(grid, assignment, pulses)
         rep = maximize_phi(beta, ensemble)

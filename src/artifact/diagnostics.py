@@ -77,8 +77,7 @@ def build_report(beta: float, ensemble: PulseEnsemble,
 
 def sweep_row(record: SolutionRecord) -> dict:
     """One summary row per continuation stage."""
-    ovl = record.overlaps
-    mx = float(np.max(ovl)) if ovl.size else 0.0
+    mx = float(np.max(record.overlaps))
     return {
         "beta": record.beta,
         "energy": record.energy,

@@ -5,8 +5,9 @@ Two independent routes to the same object:
 * ``find_nodal_solution``: shooting with amplitude bisection on the number
   of sign changes, each bisection shot stopped where its count becomes
   final (``_stopped_count``); then one shot at the final amplitude sampled
-  on the nodes and a damped Newton polish of the discrete boundary value
-  problem, whose zeros are the interface radii.
+  on the nodes (``shoot``) and a damped Newton polish of the discrete
+  boundary value problem, whose zeros are the interface radii.  Every
+  shot runs on one integrator, Hairer's compiled DOP853 (``_shot``).
 * ``compute_c_infinity``: direct minimization of the summed bump energies
   over the interface radii (seeded by the least-energy chain of cells
   whose edges lie on a coarse radius set, then Newton on the exact radius
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
+from scipy.integrate import ode
 
 from .errors import (
     BracketingFailure,
@@ -106,91 +107,25 @@ def count_sign_changes(values: np.ndarray, deadband: float = SIGN_DEADBAND) -> i
     return int(np.sum(s[1:] != s[:-1]))
 
 
-def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
-    """Integrate outward from w(0)=amplitude, w'(0)=0 and classify the tail.
+def _shot(grid: RadialGrid, amplitude: float, rtol: float, stop):
+    """The shot from w(0)=amplitude, w'(0)=0 on Hairer's compiled DOP853.
 
-    The energy E = w'^2/2 - w^2/2 + w^4/4 never rises along r
-    (dE/dr = -(N-1)/r w'^2), so |w| <= max(amplitude, sqrt(2)) on every
-    shot and no shot blows up.  Integration stops early on a clean decay
-    below the floor min(1e-5, amplitude/100) with |w'| equally small.
-    Past that floor the growing mode dominates any numerical trajectory,
-    so the tail is continued with the known e^{-r} rate instead of being
-    integrated.  Sign changes are counted as the integrator's zero
-    crossings of w: node samples would miss zeros closer together than dr.
+    The integrator calls back once per accepted step, so only the
+    right-hand side runs in Python.  Signs of w are read at the accepted
+    steps, values under SIGN_DEADBAND carrying none; the shot stops at
+    r_max or at the first step where stop(flips, w, w') holds.  Returns
+    the sign changes and the accepted (r, w, w') as three arrays.  A
+    failed integration raises; its partial count is never used.
     """
-    if not amplitude > 0:
-        raise ConfigError("amplitude must be positive")
-    floor = min(1e-5, 1e-2 * amplitude)
-
-    def decay(t, y):
-        return y[0] ** 2 + y[1] ** 2 - floor**2
-
-    decay.terminal = True
-    decay.direction = -1
-
-    def zero(t, y):
-        return y[0]
-
-    sol = solve_ivp(
-        _ode_rhs(grid.dimension),
-        (0.0, grid.r_max),
-        [amplitude, 0.0],
-        method="DOP853",
-        t_eval=grid.nodes,
-        rtol=1e-12,
-        atol=1e-14,
-        events=(decay, zero),
-    )
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-    n = grid.n_points
-    vals = np.zeros(n)
-    vals[: len(sol.t)] = sol.y[0]
-    behavior = OSCILLATING
-    if sol.status == 1:
-        r_stop = sol.t_events[0][0]
-        u_stop = sol.y_events[0][0][0]
-        tail = grid.nodes >= r_stop
-        vals[tail] = u_stop * np.exp(-(grid.nodes[tail] - r_stop))
-        behavior = DECAYED
-    else:
-        aw = np.abs(vals)
-        seg = aw[-max(8, n // 10) :]
-        decreasing = seg[-1] <= seg[0] and np.max(seg) <= max(seg[0], 1e-8)
-        if aw[-1] < 1e-8 and decreasing:
-            behavior = DECAYED
-    return ShotResult(
-        initial_amplitude=float(amplitude),
-        sign_changes=len(sol.t_events[1]),
-        terminal_behavior=behavior,
-        trajectory=RadialField(grid, vals),
-    )
-
-
-def _stopped_count(grid: RadialGrid, amplitude: float, h: int, rtol: float) -> int:
-    """Sign changes of the shot from w(0)=amplitude: exact below h, else h.
-
-    The shot stops at its h-th sign change, or once E < 0 (see
-    ``_bisect_amplitude``); an amplitude under sqrt(2) has
-    E(0) = a^4/4 - a^2/2 < 0 and needs no shot.  Signs are read at the
-    accepted steps of Hairer's compiled DOP853, which calls back once per
-    step, so only the right-hand side runs in Python.  A failed
-    integration raises; its partial count is never used.
-    """
-    if amplitude * amplitude < 2.0:
-        return 0
-    flips, last = 0, 1.0
+    flips, last, steps = 0, 1.0, []
 
     def step(t, y):
         nonlocal flips, last
         wv, p = y.tolist()
+        steps.append((t, wv, p))
         if abs(wv) >= SIGN_DEADBAND and wv * last < 0:
             flips, last = flips + 1, -last
-            if flips >= h:
-                return -1
-        if 0.5 * p * p - 0.5 * wv * wv + 0.25 * wv**4 < 0:
-            return -1
-        return 0
+        return -1 if stop(flips, wv, p) else 0
 
     solver = ode(_ode_rhs(grid.dimension)).set_integrator(
         "dop853", rtol=rtol, atol=1e-14, nsteps=10**6)
@@ -198,10 +133,60 @@ def _stopped_count(grid: RadialGrid, amplitude: float, h: int, rtol: float) -> i
     solver.set_initial_value([amplitude, 0.0], 0.0)
     solver.integrate(grid.r_max)
     if not solver.successful():
-        raise StepFailure(
-            f"dop853 failed (code {solver.get_return_code()}) at r={solver.t:.6g}"
-        )
-    return flips
+        raise StepFailure(f"dop853 failed (code {solver.get_return_code()}) "
+                          f"at r={solver.t:.6g}")
+    r, w, p = np.array(steps).T
+    steps.clear()  # scipy's ode never frees its integrator, nor this callback
+    return flips, r, w, p
+
+
+def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
+    """Integrate outward from w(0)=amplitude, w'(0)=0 and classify the tail.
+
+    The energy E = w'^2/2 - w^2/2 + w^4/4 never rises along r
+    (dE/dr = -(N-1)/r w'^2), so |w| <= max(amplitude, sqrt(2)) on every
+    shot and no shot blows up.  The shot (``_shot``, rtol 1e-12) stops
+    early at the first accepted step where w and w' are both under the
+    floor min(1e-5, amplitude/100).  Past that floor the growing mode
+    dominates any numerical trajectory, so the tail is continued with the
+    known e^{-r} rate instead of being integrated.  The nodes up to the
+    last step are sampled with the cubic Hermite polynomial of (w, w') on
+    their step.  Sign changes are counted at the accepted steps: node
+    samples would miss zeros closer together than dr.
+    """
+    if not amplitude > 0:
+        raise ConfigError("amplitude must be positive")
+    floor_sq = min(1e-5, 1e-2 * amplitude) ** 2
+    flips, r, w, p = _shot(grid, amplitude, 1e-12,
+                           lambda _, wv, pv: wv * wv + pv * pv < floor_sq)
+    x = grid.nodes
+    vals = w[-1] * np.exp(-(x - r[-1]))
+    on = x < r[-1]
+    j = np.searchsorted(r, x[on], side="right") - 1
+    d = r[j + 1] - r[j]
+    s = (x[on] - r[j]) / d
+    vals[on] = ((1 + 2 * s) * w[j] + s * d * p[j]) * (1 - s) ** 2 \
+        + s * s * ((3 - 2 * s) * w[j + 1] + (s - 1) * d * p[j + 1])
+    aw = np.abs(vals)
+    seg = aw[-max(8, len(aw) // 10) :]
+    decreasing = seg[-1] <= seg[0] and np.max(seg) <= max(seg[0], 1e-8)
+    decayed = w[-1] ** 2 + p[-1] ** 2 < floor_sq or (aw[-1] < 1e-8 and decreasing)
+    return ShotResult(initial_amplitude=float(amplitude), sign_changes=flips,
+                      terminal_behavior=DECAYED if decayed else OSCILLATING,
+                      trajectory=RadialField(grid, vals))
+
+
+def _stopped_count(grid: RadialGrid, amplitude: float, h: int, rtol: float) -> int:
+    """Sign changes of the shot from w(0)=amplitude: exact below h, else h.
+
+    The shot (``_shot``) stops at its h-th sign change, or once E < 0
+    (see ``_bisect_amplitude``); an amplitude under sqrt(2) has
+    E(0) = a^4/4 - a^2/2 < 0 and needs no shot.
+    """
+    if amplitude * amplitude < 2.0:
+        return 0
+    return _shot(grid, amplitude, rtol, lambda flips, wv, p: flips >= h
+                 or 0.5 * p * p - 0.5 * wv * wv + 0.25 * wv**4 < 0)[0]
 
 
 def _bisect_amplitude(grid: RadialGrid, h: int) -> float:

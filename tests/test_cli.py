@@ -251,9 +251,24 @@ def test_report_missing_run(tmp_path, capsys):
     assert rc == 2
 
 
-def _stray_pulses_file(run):
-    shutil.copy(run / "pulses_beta10.csv", run / "pulses_beta10.bak.csv")
-    return ["report", "--run", str(run)], "pulses_beta10.bak.csv"
+def _pulses_tagged(tag):
+    # a copy of a pulses file under a tag that names no coupling
+    def spoil(run):
+        shutil.copy(run / "pulses_beta10.csv", run / f"pulses_beta{tag}.csv")
+        return ["report", "--run", str(run)], f"pulses_beta{tag}.csv"
+
+    return spoil
+
+
+def _profile_value(key, value):
+    # a profile.json value of the wrong JSON type
+    def spoil(run):
+        meta = json.loads((run / "profile.json").read_text())
+        meta[key] = value
+        (run / "profile.json").write_text(json.dumps(meta))
+        return ["report", "--run", str(run)], repr(key)
+
+    return spoil
 
 
 def _profile_without_node_radii(run):
@@ -288,15 +303,24 @@ def _output_dir_not_a_string(run):
     return ["scalar", "--config", str(path)], "output_dir"
 
 
-@pytest.mark.parametrize("spoil", [_stray_pulses_file, _profile_without_node_radii,
-                                   _pulses_missing_a_column, _profile_not_json,
-                                   _pulses_not_numbers, _output_dir_not_a_string],
-                         ids=["stray-file", "missing-key", "missing-column",
-                              "not-json", "not-numbers", "output-dir"])
+@pytest.mark.parametrize(
+    "spoil",
+    [_pulses_tagged("10.bak"), _profile_without_node_radii,
+     _pulses_missing_a_column, _profile_not_json, _pulses_not_numbers,
+     _output_dir_not_a_string, _profile_value("n_points", "257"),
+     _profile_value("h", "2"), _profile_value("r_max", None),
+     _profile_value("c_infinity", "x"), _pulses_tagged("nan"),
+     _pulses_tagged("-5"), _pulses_tagged("inf"), _pulses_tagged("1e400")],
+    ids=["stray-file", "missing-key", "missing-column", "not-json",
+         "not-numbers", "output-dir", "n-points-string", "h-string",
+         "r-max-null", "c-infinity-string", "tag-nan", "tag-negative",
+         "tag-inf", "tag-overflow"])
 def test_malformed_run_input_is_a_config_error(sweep_pair, tmp_path, capsys, spoil):
     # each escaped main as a traceback with exit 1: ValueError from the
     # file's tag, KeyError, IndexError, JSONDecodeError, ValueError from
-    # loadtxt, and TypeError from os.makedirs
+    # loadtxt, TypeError from os.makedirs, and TypeError from a profile
+    # value of the wrong type; a tag of nan or -5 was reported (nan as
+    # invalid JSON), and one of inf or 1e400 exited 3 as an unbounded ray
     run = tmp_path / "run"
     shutil.copytree(sweep_pair[0], run)
     argv, named = spoil(run)
