@@ -150,9 +150,10 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
     floor min(1e-5, amplitude/100).  Past that floor the growing mode
     dominates any numerical trajectory, so the tail is continued with the
     known e^{-r} rate instead of being integrated.  The nodes up to the
-    last step are sampled with the cubic Hermite polynomial of (w, w') on
-    their step.  Sign changes are counted at the accepted steps: node
-    samples would miss zeros closer together than dr.
+    last step get the cubic Hermite polynomial of (w, w') on their step,
+    within about 1e-6 of the amplitude: a start for a Newton polish, not
+    a 1e-12 solution.  Sign changes are counted at the accepted steps:
+    node samples would miss zeros closer together than dr.
     """
     if not amplitude > 0:
         raise ConfigError("amplitude must be positive")

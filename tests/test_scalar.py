@@ -57,11 +57,13 @@ def test_shoot_bracket_flips_sign_count():
 def test_shoot_counts_zeros_closer_than_the_spacing(a):
     # on the line the energy is conserved, so a large amplitude oscillates
     # with zeros far closer than dr; node samples alias the count (239, 75
-    # and 188 here), the integrator's zero crossings do not
+    # and 188 here), signs read at the accepted steps do not.  The count
+    # is checked against the zero events of an independent integrator
     g = af.build_grid(1, 257, 3.0)
-    want = af.scalar._stopped_count(g, a, 10**9, rtol=1e-12)
-    assert want > 256
-    assert af.shoot(g, a).sign_changes == want
+    _, stopped, zeros = _reference_shot(g, a)
+    assert not stopped and zeros > 256
+    assert af.shoot(g, a).sign_changes == zeros
+    assert af.scalar._stopped_count(g, a, 10**9, rtol=1e-12) == zeros
 
 
 @pytest.mark.parametrize("dim, a", [(d, a) for d in (1, 2, 3)
@@ -206,19 +208,23 @@ def test_shots_release_their_steps():
 def _reference_shot(grid, amplitude):
     # node samples of a scipy.integrate.solve_ivp DOP853 shot, the pure
     # Python port of the same method, stopped at the decay floor by an
-    # event between steps: (values on the nodes it reached, stopped)
+    # event between steps: (values on the nodes it reached, stopped,
+    # number of zeros of w located by its zero event)
     floor = min(1e-5, 1e-2 * amplitude)
 
     def decay(t, y):
         return y[0] ** 2 + y[1] ** 2 - floor**2
 
+    def zero(t, y):
+        return y[0]
+
     decay.terminal = True
     decay.direction = -1
     sol = solve_ivp(af.scalar._ode_rhs(grid.dimension), (0.0, grid.r_max),
                     [amplitude, 0.0], method="DOP853", t_eval=grid.nodes,
-                    rtol=1e-12, atol=1e-14, events=decay)
+                    rtol=1e-12, atol=1e-14, events=(decay, zero))
     assert sol.status in (0, 1)
-    return sol.y[0], sol.status == 1
+    return sol.y[0], sol.status == 1, len(sol.t_events[1])
 
 
 @pytest.mark.parametrize("dim, n, r_max", [(1, 513, 16.0), (2, 1025, 30.0),
@@ -230,7 +236,7 @@ def test_shot_samples_match_a_solve_ivp_reference(dim, n, r_max):
     g = af.build_grid(dim, n, r_max)
     decayed = af.find_nodal_solution(g, 1).amplitude
     for a, behavior in ((decayed, "Decayed"), (3.0, "Oscillating")):
-        want, stopped = _reference_shot(g, a)
+        want, stopped, _ = _reference_shot(g, a)
         shot = af.shoot(g, a)
         assert stopped == (behavior == "Decayed")
         assert shot.terminal_behavior == behavior
