@@ -7,7 +7,8 @@ Two independent routes to the same object:
   final (``_stopped_count``); then one shot at the final amplitude sampled
   on the nodes (``shoot``) and a damped Newton polish of the discrete
   boundary value problem, whose zeros are the interface radii.  Every
-  shot runs on one integrator, Hairer's compiled DOP853 (``_shot``).
+  shot runs on one integrator, Hairer's compiled DOP853 (``_shot``),
+  imported at the first shot: only this route shoots.
 * ``compute_c_infinity``: direct minimization of the summed bump energies
   over the interface radii (seeded by the least-energy chain of cells
   whose edges lie on a coarse radius set, then Newton on the exact radius
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import ode
 
 from .errors import (
     BracketingFailure,
@@ -57,6 +57,7 @@ DECAYED = "Decayed"
 OSCILLATING = "Oscillating"
 
 SIGN_DEADBAND = 1e-12
+ode = None  # scipy.integrate.ode, bound by the first shot (``_shot``)
 
 
 @dataclass
@@ -115,8 +116,12 @@ def _shot(grid: RadialGrid, amplitude: float, rtol: float, stop):
     steps, values under SIGN_DEADBAND carrying none; the shot stops at
     r_max or at the first step where stop(flips, w, w') holds.  Returns
     the sign changes and the accepted (r, w, w') as three arrays.  A
-    failed integration raises; its partial count is never used.
+    failed integration raises; its partial count is never used.  DOP853
+    is imported at the first shot, since only the shooting route shoots.
     """
+    global ode
+    if ode is None:
+        from scipy.integrate import ode
     flips, last, steps = 0, 1.0, []
 
     def step(t, y):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -158,6 +159,31 @@ def test_solve_failed_stage_writes_one_json_line(tmp_path):
     blob = json.loads(lines[0])
     assert blob["error"] == "solver"
     assert blob["message"].startswith("stage beta=1 failed: scaling saddle")
+
+
+def test_only_the_shooting_route_imports_scipy_integrate():
+    # in a fresh interpreter, since the test modules import solve_ivp:
+    # scipy.integrate pulls in scipy.optimize, special, fft and spatial,
+    # about a third of a cold import, and the partition route and the
+    # continuation never shoot; the first shot imports it
+    code = textwrap.dedent("""
+        import sys
+        import artifact as af
+        import artifact.cli
+        g = af.build_grid(2, 513, 30.0)
+        profile = af.compute_c_infinity(g, 2)
+        records = af.continuation(profile, af.build_assignment((1, 2)),
+                                  af.SolverConfig((100.0,)))
+        assert len(records) == 1
+        assert "scipy.integrate" not in sys.modules
+        af.find_nodal_solution(g, 2)
+        assert "scipy.integrate" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solve_two_components(tmp_path, capsys):

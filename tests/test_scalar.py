@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
+from scipy.special import ellipk
 
 import artifact as af
 from artifact.grid import (
@@ -57,11 +58,14 @@ def test_shoot_bracket_flips_sign_count():
 def test_shoot_counts_zeros_closer_than_the_spacing(a):
     # on the line the energy is conserved, so a large amplitude oscillates
     # with zeros far closer than dr; node samples alias the count (239, 75
-    # and 188 here), signs read at the accepted steps do not.  The count
-    # is checked against the zero events of an independent integrator
+    # and 188 here), signs read at the accepted steps do not.  The exact
+    # count: w = a cn(sqrt(a^2-1) r, k^2) with k^2 = a^2/(2a^2-2), whose
+    # zeros are q, 3q, 5q, ... for the quarter period
+    # q = sqrt(2) K(k^2)/sqrt(2a^2-2) (273, 437 and 700 here)
     g = af.build_grid(1, 257, 3.0)
-    _, stopped, zeros = _reference_shot(g, a)
-    assert not stopped and zeros > 256
+    q = np.sqrt(2.0) * ellipk(a * a / (2 * a * a - 2)) / np.sqrt(2 * a * a - 2)
+    zeros = int((g.r_max - q) // (2 * q)) + 1
+    assert zeros > 256
     assert af.shoot(g, a).sign_changes == zeros
     assert af.scalar._stopped_count(g, a, 10**9, rtol=1e-12) == zeros
 
@@ -151,9 +155,7 @@ def test_stopped_count_needs_no_shot_below_sqrt2(monkeypatch, grid_n1, a):
 
 def test_stopped_count_raises_on_integrator_failure(monkeypatch, grid_n1):
     # a shot cut short by the step budget has only a partial count
-    real = af.scalar.ode
-
-    class ShortBudget(real):
+    class ShortBudget(ode):
         def set_integrator(self, name, **params):
             return super().set_integrator(name, **{**params, "nsteps": 5})
 
@@ -208,23 +210,19 @@ def test_shots_release_their_steps():
 def _reference_shot(grid, amplitude):
     # node samples of a scipy.integrate.solve_ivp DOP853 shot, the pure
     # Python port of the same method, stopped at the decay floor by an
-    # event between steps: (values on the nodes it reached, stopped,
-    # number of zeros of w located by its zero event)
+    # event between steps: (values on the nodes it reached, stopped)
     floor = min(1e-5, 1e-2 * amplitude)
 
     def decay(t, y):
         return y[0] ** 2 + y[1] ** 2 - floor**2
 
-    def zero(t, y):
-        return y[0]
-
     decay.terminal = True
     decay.direction = -1
     sol = solve_ivp(af.scalar._ode_rhs(grid.dimension), (0.0, grid.r_max),
                     [amplitude, 0.0], method="DOP853", t_eval=grid.nodes,
-                    rtol=1e-12, atol=1e-14, events=(decay, zero))
+                    rtol=1e-12, atol=1e-14, events=decay)
     assert sol.status in (0, 1)
-    return sol.y[0], sol.status == 1, len(sol.t_events[1])
+    return sol.y[0], sol.status == 1
 
 
 @pytest.mark.parametrize("dim, n, r_max", [(1, 513, 16.0), (2, 1025, 30.0),
@@ -236,7 +234,7 @@ def test_shot_samples_match_a_solve_ivp_reference(dim, n, r_max):
     g = af.build_grid(dim, n, r_max)
     decayed = af.find_nodal_solution(g, 1).amplitude
     for a, behavior in ((decayed, "Decayed"), (3.0, "Oscillating")):
-        want, stopped, _ = _reference_shot(g, a)
+        want, stopped = _reference_shot(g, a)
         shot = af.shoot(g, a)
         assert stopped == (behavior == "Decayed")
         assert shot.terminal_behavior == behavior
