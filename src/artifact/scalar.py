@@ -11,8 +11,9 @@ Two independent routes to the same object:
   imported at the first shot: only this route shoots.
 * ``compute_c_infinity``: direct minimization of the summed bump energies
   over the interface radii (seeded by the least-energy chain of cells
-  whose edges lie on a coarse radius set, then Newton on the exact radius
-  derivatives of the cell energies in the continuous radii).
+  whose edges lie on a coarse radius set of a grid of at most SEED_NODES
+  nodes, then Newton on the grid, on the exact radius derivatives of the
+  cell energies in the continuous radii).
 
 Both end in one finisher, ``_split_profile``: each bump is polished on the
 grid nodes between the interfaces nearest the radii, from the polished
@@ -46,6 +47,7 @@ from .grid import (
     RadialField,
     RadialGrid,
     apply_tridiag,
+    build_grid,
     factor_tridiag,
     h1_norm_sq,
     lp_integral,
@@ -503,17 +505,23 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
 # ---------------------------------------------------------------------------
 # partition route
 
+SEED_NODES = 1025  # the partition seed's grid has at most this many nodes
+
 
 def _partition_seed(grid: RadialGrid, h: int):
-    """Integer interface seed: the least-energy chain of h cells whose
-    interior edges lie on a coarse radius set (geometric offsets from the
-    axis, doubling, plus six evenly spaced nodes), a cell with fewer than
-    8 nodes costing inf.  It only has to land in the optimum's basin;
-    ``_stationary_radii`` refines it.  Each distinct cell is solved once
-    and cold, so the energies are deterministic."""
+    """Interface seed radii: the least-energy chain of h cells whose
+    interior edges lie on a coarse radius set (geometric node offsets from
+    the axis, doubling, plus six evenly spaced nodes), a cell with fewer
+    than 8 nodes costing inf, on the grid of min(n, SEED_NODES) nodes and
+    the same r_max, so every finer grid gets one seed.  It only has to land
+    in the optimum's basin; ``_stationary_radii`` refines it on the grid.
+    Each distinct cell is solved once and cold, so the energies are
+    deterministic."""
+    if grid.n_points > SEED_NODES:
+        grid = build_grid(grid.dimension, SEED_NODES, grid.r_max)
     last = grid.n_points - 1
     if h == 1:
-        return [0, last]
+        return grid.nodes[[0, last]]
     cand = {int(x) for x in np.linspace(8, last - 8, 6)}
     off = 8
     while off < last - 8:
@@ -531,7 +539,7 @@ def _partition_seed(grid: RadialGrid, h: int):
     best = min(itertools.combinations(sorted(cand), h - 1), key=total, default=None)
     if best is None or total(best) == np.inf:
         raise EmptyAnnulus(f"grid too coarse to host {h} bumps")
-    return [0, *best, last]
+    return grid.nodes[[0, *best, last]]
 
 
 def _stationary_radii(grid: RadialGrid, rho):
@@ -541,9 +549,9 @@ def _stationary_radii(grid: RadialGrid, rho):
     solve returns both radius derivatives.  A cell couples only its two
     radii, so the Hessian is tridiagonal; it comes from one-sided
     differences of each cell's derivatives, and is kept while full steps
-    stay under dr.  A step halves until E does not rise; once no radius
-    moves more than 1e-3 dr, returns the radii and the fields of the cell
-    solves at them.
+    stay under dr.  A step halves until E does not rise; once a step from
+    a fresh Hessian moves no radius more than 1e-3 dr, returns the radii
+    and the fields of the cell solves at them.
     """
     h = len(rho) - 1
     dr, r = grid.dr, grid.nodes
@@ -565,12 +573,12 @@ def _stationary_radii(grid: RadialGrid, rho):
         return sols, sum(J for _, J, _ in sols)
 
     sols, E = cells(rho)
-    H, stale = None, True
+    H, fresh = None, True
     for _ in range(40):
         warm = [u for u, _, _ in sols]
         S = np.array([dJ for _, _, dJ in sols])
         g = S[:-1, 1] + S[1:, 0]
-        if stale:
+        if fresh:
             H = np.zeros((h - 1, h - 1))
             for i in range(1, h):
                 # radius i is the outer edge of cell i-1, the inner of cell i
@@ -600,18 +608,20 @@ def _stationary_radii(grid: RadialGrid, rho):
             break
         rho, sols, E = x, trial, Et
         step = np.max(np.abs(t * d))
-        if step <= 1e-3 * dr:
+        if step <= 1e-3 * dr and fresh:
             break
-        stale = t < 1.0 or step > dr
+        # a short step from a kept Hessian is retaken from a fresh one
+        fresh = t < 1.0 or not 1e-3 * dr < step <= dr
     return rho, [u for u, _, _ in sols]
 
 
 def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> NodalProfile:
     """Partition route: minimize the summed bump energies over the radii.
 
-    Newton in the continuous interface radii from the integer seed.  At
-    the minimum dE/drho_i = 0 at every interface, the discrete form of
-    the equal-flux (C^1) matching of the nodal solution.  The final bumps
+    Newton in the continuous interface radii from the seed radii, which
+    are the same on every grid finer than SEED_NODES nodes.  At the
+    minimum dE/drho_i = 0 at every interface, the discrete form of the
+    equal-flux (C^1) matching of the nodal solution.  The final bumps
     are polished from the fields of the last cell solves (for h = 1, one
     cold solve of the ball) on the nodes between the nodes nearest the
     radii: there they solve the grid problem, so they satisfy the
@@ -620,7 +630,7 @@ def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> No
     """
     if h < 1:
         raise ConfigError(f"h must be at least 1, got {h}")
-    rho = grid.nodes[_partition_seed(grid, h)]
+    rho = _partition_seed(grid, h)
     if h > 1:
         rho, starts = _stationary_radii(grid, rho)
     else:

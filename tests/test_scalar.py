@@ -54,17 +54,24 @@ def test_shoot_bracket_flips_sign_count():
     assert above.sign_changes >= 1
 
 
+def _line_zeros(r_max, a):
+    # the exact count on the line from w(0)=a, where the energy is
+    # conserved: w = a cn(sqrt(a^2-1) r, k^2) with k^2 = a^2/(2a^2-2), whose
+    # zeros are q, 3q, 5q, ... for the quarter period
+    # q = sqrt(2) K(k^2)/sqrt(2a^2-2); under sqrt(2), E(0) < 0 and w has none
+    if a * a <= 2.0:
+        return 0
+    q = np.sqrt(2.0) * ellipk(a * a / (2 * a * a - 2)) / np.sqrt(2 * a * a - 2)
+    return int((r_max - q) // (2 * q)) + 1
+
+
 @pytest.mark.parametrize("a", [338.0, 540.0, 865.0])
 def test_shoot_counts_zeros_closer_than_the_spacing(a):
-    # on the line the energy is conserved, so a large amplitude oscillates
-    # with zeros far closer than dr; node samples alias the count (239, 75
-    # and 188 here), signs read at the accepted steps do not.  The exact
-    # count: w = a cn(sqrt(a^2-1) r, k^2) with k^2 = a^2/(2a^2-2), whose
-    # zeros are q, 3q, 5q, ... for the quarter period
-    # q = sqrt(2) K(k^2)/sqrt(2a^2-2) (273, 437 and 700 here)
+    # a large amplitude on the line oscillates with zeros far closer than
+    # dr; node samples alias the count (239, 75 and 188 here), signs read
+    # at the accepted steps do not (273, 437 and 700 exactly)
     g = af.build_grid(1, 257, 3.0)
-    q = np.sqrt(2.0) * ellipk(a * a / (2 * a * a - 2)) / np.sqrt(2 * a * a - 2)
-    zeros = int((g.r_max - q) // (2 * q)) + 1
+    zeros = _line_zeros(g.r_max, a)
     assert zeros > 256
     assert af.shoot(g, a).sign_changes == zeros
     assert af.scalar._stopped_count(g, a, 10**9, rtol=1e-12) == zeros
@@ -131,11 +138,12 @@ def _sampled_count(grid, amplitude, rtol):
                                            (3, 257, 10.0)])
 def test_stopped_count_decides_like_the_sampled_count(dim, n, r_max):
     # a shot stopped where its count becomes final decides every bisection
-    # question "at least h sign changes?" as the node-sampled shot does
+    # question "at least h sign changes?" as the node-sampled shot does;
+    # on the line the reference is the exact count
     g = af.build_grid(dim, n, r_max)
     hs = (1, 2, 3, 5)
     for a in np.geomspace(1.2, 1e3, 12):
-        want = _sampled_count(g, a, 1e-9)
+        want = _line_zeros(r_max, a) if dim == 1 else _sampled_count(g, a, 1e-9)
         for h in hs:
             got = af.scalar._stopped_count(g, a, h, rtol=1e-9)
             assert min(got, h) == min(want, h), (a, h, got, want)
@@ -507,6 +515,20 @@ def test_cold_seed_cells_land_on_their_first_polish(monkeypatch, dim, n, r_max, 
         assert k <= 10 and m == 1, (radii, k, m)
 
 
+def test_partition_seed_is_one_seed_past_the_seed_grid():
+    # past SEED_NODES nodes the chain is searched on the 1025-node grid, so
+    # every finer grid starts the radius Newton from the same radii (node
+    # seeds on each grid put the first radius at 0.684, 0.693 and 0.698);
+    # up to it the seed is the grid's own node seed
+    seeds = [af.scalar._partition_seed(af.build_grid(2, n, 40.0), 5)
+             for n in (2049, 4097, 8193)]
+    for seed in seeds[1:]:
+        assert seed.tobytes() == seeds[0].tobytes()
+    g = af.build_grid(2, 1025, 30.0)
+    seed = af.scalar._partition_seed(g, 3)
+    assert seed.tobytes() == g.nodes[[0, 35, 143, 1024]].tobytes()
+
+
 def test_annulus_rejects_bad_interval(grid_h2):
     # a cell with fewer than 8 interior nodes has no solve and costs inf,
     # and a grid where every chain of h cells does raises
@@ -554,12 +576,17 @@ def test_cell_radius_derivative_matches_finite_differences(dim, a, b, origin):
         assert slopes[0] == 0.0
 
 
-def test_partition_radii_are_stationary_within_a_solve_budget(monkeypatch):
+@pytest.mark.parametrize("dim, h, n, r_max", [(2, 3, 2049, 30.0),
+                                               (2, 5, 8193, 40.0),
+                                               (3, 3, 4097, 40.0)])
+def test_partition_radii_are_stationary_within_a_solve_budget(
+        monkeypatch, dim, h, n, r_max):
     # at the returned radii the energy's derivative in every interface
     # radius vanishes: the discrete equal-flux condition.  Measured
-    # |dE/drho| dr <= 7.6e-11; moving one radius by 1e-3 dr gives 3e-6
-    # or more.
-    g = af.build_grid(2, 2049, 30.0)
+    # |dE/drho| dr <= 3.5e-10; moving one radius by 1e-3 dr gives 3e-6
+    # or more.  A stop on a short step from a kept Hessian leaves 6.9e-8
+    # on the first case and 4.7e-8 on the third
+    g = af.build_grid(dim, n, r_max)
     solve = af.scalar._annulus_cont
     calls = []
 
@@ -568,12 +595,13 @@ def test_partition_radii_are_stationary_within_a_solve_budget(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(af.scalar, "_annulus_cont", spy)
-    profile = af.compute_c_infinity(g, 3)
-    # 132 cell solves measured; the golden-section search made 744
+    profile = af.compute_c_infinity(g, h)
+    # 121, 166 and 131 cell solves measured; the golden-section search
+    # made 744 on the first case
     assert len(calls) <= 200
     rho = [0.0, *profile.node_radii, g.r_max]
     slopes = np.array([solve(g, rho[l], rho[l + 1])[2]
-                       for l in range(3)])
+                       for l in range(h)])
     grad = slopes[:-1, 1] + slopes[1:, 0]
     assert np.max(np.abs(grad)) * g.dr < 1e-8, grad
 
