@@ -22,7 +22,7 @@ class StepFailure(SolveError):
 
 
 class BracketingFailure(SolveError):
-    """Amplitude bisection failed to bracket the requested nodal count."""
+    """The amplitude scan failed to bracket the requested nodal count."""
 
 
 class NewtonDivergence(SolveError):

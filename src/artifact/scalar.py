@@ -2,13 +2,14 @@
 
 Two independent routes to the same object:
 
-* ``find_nodal_solution``: shooting with amplitude bisection on the number
-  of sign changes, each bisection shot stopped where its count becomes
-  final (``_stopped_count``); then one shot at the final amplitude sampled
-  on the nodes (``shoot``) and a damped Newton polish of the discrete
-  boundary value problem, whose zeros are the interface radii.  Every
-  shot runs on one integrator, Hairer's compiled DOP853 (``_shot``),
-  imported at the first shot: only this route shoots.
+* ``find_nodal_solution``: shooting for the amplitude where the number of
+  sign changes reaches h, by a safeguarded secant on the decay law of the
+  shots' last zero (``_critical_amplitude``), each shot stopped where its
+  count becomes final (``_stopped_shot``); then one shot at the final
+  amplitude sampled on the nodes (``shoot``) and a damped Newton polish of
+  the discrete boundary value problem, whose zeros are the interface
+  radii.  Every shot runs on one integrator, Hairer's compiled DOP853
+  (``_shot``), imported at the first shot: only this route shoots.
 * ``compute_c_infinity``: direct minimization of the summed bump energies
   over the interface radii (seeded by the least-energy chain of cells
   whose edges lie on a coarse radius set of a grid of at most SEED_NODES
@@ -59,6 +60,7 @@ DECAYED = "Decayed"
 OSCILLATING = "Oscillating"
 
 SIGN_DEADBAND = 1e-12
+ITP_SLACK = 4  # probes the amplitude search may add to a bisection's log2 count
 ode = None  # scipy.integrate.ode, bound by the first shot (``_shot``)
 
 
@@ -184,31 +186,67 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
                       trajectory=RadialField(grid, vals))
 
 
-def _stopped_count(grid: RadialGrid, amplitude: float, h: int, rtol: float) -> int:
-    """Sign changes of the shot from w(0)=amplitude: exact below h, else h.
+def _stopped_shot(grid: RadialGrid, amplitude: float, h: int, rtol: float):
+    """The shot from w(0)=amplitude, stopped where its answer to "at least
+    h sign changes?" is final: (count, rho), the count exact below h, else
+    h, and rho its h-th zero (None below h), linear between the accepted
+    steps on either side.
 
     The shot (``_shot``) stops at its h-th sign change, or once E < 0
-    (see ``_bisect_amplitude``); an amplitude under sqrt(2) has
+    (see ``_critical_amplitude``); an amplitude under sqrt(2) has
     E(0) = a^4/4 - a^2/2 < 0 and needs no shot.
     """
     if amplitude * amplitude < 2.0:
-        return 0
-    return _shot(grid, amplitude, rtol, lambda flips, wv, p: flips >= h
-                 or 0.5 * p * p - 0.5 * wv * wv + 0.25 * wv**4 < 0)[0]
+        return 0, None
+    flips, r, w, _ = _shot(grid, amplitude, rtol, lambda flips, wv, p: flips >= h
+                           or 0.5 * p * p - 0.5 * wv * wv + 0.25 * wv**4 < 0)
+    if flips < h:
+        return flips, None
+    return flips, float(r[-2] - w[-2] * (r[-1] - r[-2]) / (w[-1] - w[-2]))
 
 
-def _bisect_amplitude(grid: RadialGrid, h: int) -> float:
-    """Smallest amplitude whose shot makes exactly h-1 interior flips.
+def _stopped_count(grid: RadialGrid, amplitude: float, h: int, rtol: float) -> int:
+    """Sign changes of the shot from w(0)=amplitude: exact below h, else h."""
+    return _stopped_shot(grid, amplitude, h, rtol)[0]
+
+
+def _critical_amplitude(grid: RadialGrid, h: int) -> float:
+    """The amplitude a* where the shot's count reaches h sign changes.
 
     A shot only answers "at least h sign changes?", and it stops where the
-    answer is final (``_stopped_count``): yes at its h-th zero; no once its
-    energy E = w'^2/2 - w^2/2 + w^4/4 is negative, because E never rises
-    along r (dE/dr = -(N-1)/r w'^2) and is nonnegative at every zero.
+    answer is final (``_stopped_shot``): yes at its h-th zero rho; no once
+    its energy E = w'^2/2 - w^2/2 + w^4/4 is negative, because E never
+    rises along r (dE/dr = -(N-1)/r w'^2) and is nonnegative at every zero.
+    A scan from 1.2 by factors of 1.25 brackets a*, lo below h zeros and
+    hi at h or more; the bracket closes to hi - lo <= 1e-12 hi and its
+    midpoint is returned.
+
+    A yes shot also tells how far above a* it is.  For N >= 2 it follows
+    W until the growing mode, of size (a - a*) e^r, overtakes W's e^{-r}
+    tail, so a - a* goes as e^{-2 rho}.  On the line every zero is a pass
+    by the saddle w = w' = 0, each lobe taking a time log(1/(a - a*)), so
+    a - a* goes as e^{-2 rho/(2h-1)}.  With rho = r_max at the count's
+    edge, the law is a - a* = C g(rho), g = e^{-k rho} - e^{-k r_max}.
+    Measured at rtol 1e-11 from (a - a*)/a* = 1e-3 to 1e-10, C holds
+    within 6 %: 8.4e11-9.0e11 on (N, h, r_max) = (2, 5, 40), 2.35e4-2.38e4
+    on (3, 3, 40), 11.2-11.4 on (1, 2, 16).
+
+    So the bracket closes by a safeguarded secant on g through the last
+    two yes shots.  Its estimate's error is guessed from how far it moved
+    at the last yes, scaled to the new one (a tenth of the step for the
+    first estimate).  The probe sits that far from the estimate, on the
+    side away from the bracket end nearer to it, so a right guess cuts
+    the bracket down to about the error.  A probe that does not halve the
+    bracket is followed by a bisection, and every probe lies within an
+    ITP reach of the midpoint (Oliveira and Takahashi 2020), so no search
+    takes more than ITP_SLACK + 1 shots beyond a bisection's.  Shots within
+    1e-6 hi of the estimate, or in a bracket that narrow, run at rtol
+    1e-11: a 1e-9 shot that close to a* can misjudge its count.
     """
     lo = hi = None
     a = 1.2
     while a < 1e3:
-        c = _stopped_count(grid, a, h, rtol=1e-9)
+        c, rho = _stopped_shot(grid, a, h, rtol=1e-9)
         if c <= h - 1:
             lo = a
         if c >= h:
@@ -217,17 +255,42 @@ def _bisect_amplitude(grid: RadialGrid, h: int) -> float:
         a *= 1.25
     if hi is None or lo is None:
         raise BracketingFailure(f"no amplitude bracket for h={h}")
-    # a wide bracket's count is decided at rtol=1e-9, at half the cost;
-    # the last stretch needs rtol=1e-11, and finer count decisions than
-    # that are noise; the Newton polish only needs the basin
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        rtol = 1e-9 if hi - lo > 1e-6 * hi else 1e-11
-        if _stopped_count(grid, mid, h, rtol=rtol) >= h:
-            hi = mid
+    k = 2.0 / (2 * h - 1) if grid.dimension == 1 else 2.0
+
+    def law(rho):
+        return -np.exp(-k * rho) * np.expm1(-k * (grid.r_max - rho))
+
+    last, est, err = (hi, law(rho)), None, None
+    tol = 1e-12 * lo
+    budget = int(np.ceil(np.log2((hi - lo) / tol))) + ITP_SLACK
+    halved = True
+    for j in itertools.count():
+        if hi - lo <= 1e-12 * hi:
+            return 0.5 * (lo + hi)
+        mid = x = 0.5 * (lo + hi)
+        if halved and est is not None and lo < est < hi:
+            # past the error floor, a probe on each side of an exact
+            # estimate closes the bracket
+            m = max(err, 0.25e-12 * hi)
+            x = est - m if est - lo > hi - est else est + m
+            if not lo < x < hi:
+                x = mid
+        # ITP: the width after j probes stays under tol 2^(budget - j)
+        reach = 0.5 * tol * 2.0 ** (budget - j) - 0.5 * (hi - lo)
+        x = min(max(x, mid - reach), mid + reach)
+        near = hi - lo <= 1e-6 * hi or (est is not None and abs(x - est) <= 1e-6 * hi)
+        c, rho = _stopped_shot(grid, x, h, rtol=1e-11 if near else 1e-9)
+        width = hi - lo
+        if c < h:
+            lo = x
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            hi, g = x, law(rho)
+            (a1, g1), last = last, (x, g)
+            if g < g1:
+                new = x - g * (x - a1) / (g - g1)
+                err = (x - new) * (0.1 if est is None else abs(new - est) / (a1 - new))
+                est = new
+        halved = x == mid or hi - lo <= 0.5 * width
 
 
 def _newton(lo, di, up, u, tol, maxit):
@@ -304,14 +367,17 @@ def _split_profile(grid: RadialGrid, h: int, radii, starts, tol_nehari: float,
 def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> NodalProfile:
     """Shooting route: the h-bump sign-changing solution and its bump split.
 
-    The shot at the bisected amplitude, its decayed tail continued with
-    e^{-r}, is polished on every node but the Dirichlet one; the zeros of
-    the polished field W are the radii, and |W| starts every bump.
+    The shot at the critical amplitude (``_critical_amplitude``: a
+    secant on the decay law of the shots' h-th zero, within 1e-12
+    relative, in 8-35 shots where a bisection took 15-57), its
+    decayed tail continued with e^{-r}, is polished on every node but the
+    Dirichlet one; the zeros of the polished field W are the radii, and
+    |W| starts every bump.
     """
     if h < 1:
         raise ConfigError(f"h must be at least 1, got {h}")
     r, dr = grid.nodes, grid.dr
-    a = _bisect_amplitude(grid, h)
+    a = _critical_amplitude(grid, h)
     W, resid, ok = _polish(grid, 0, grid.n_points - 1,
                            shoot(grid, a).trajectory.values)
     if not ok:
@@ -506,6 +572,7 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
 # partition route
 
 SEED_NODES = 1025  # the partition seed's grid has at most this many nodes
+STATIONARY_SLOPE = 1e-6  # the largest |dE/drho| dr the radius Newton may leave
 
 
 def _partition_seed(grid: RadialGrid, h: int):
@@ -551,7 +618,9 @@ def _stationary_radii(grid: RadialGrid, rho):
     differences of each cell's derivatives, and is kept while full steps
     stay under dr.  A step halves until E does not rise; once a step from
     a fresh Hessian moves no radius more than 1e-3 dr, returns the radii
-    and the fields of the cell solves at them.
+    and the fields of the cell solves at them.  Converged profiles end at
+    |dE/drho| dr <= 2.3e-9; an exit above STATIONARY_SLOPE (an
+    under-resolved grid stopped at 1.2) raises NewtonDivergence.
     """
     h = len(rho) - 1
     dr, r = grid.dr, grid.nodes
@@ -612,6 +681,11 @@ def _stationary_radii(grid: RadialGrid, rho):
             break
         # a short step from a kept Hessian is retaken from a fresh one
         fresh = t < 1.0 or not 1e-3 * dr < step <= dr
+    S = np.array([dJ for _, _, dJ in sols])
+    slope = float(np.max(np.abs(S[:-1, 1] + S[1:, 0]))) * dr
+    if slope > STATIONARY_SLOPE:
+        raise NewtonDivergence(
+            f"interface radii not stationary: |dE/drho| dr = {slope:.2e}")
     return rho, [u for u, _, _ in sols]
 
 

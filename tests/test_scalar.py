@@ -1,5 +1,6 @@
 """Shooting classification, nodal profiles, and the two routes to the
 segregated energy."""
+import gc
 import tracemalloc
 
 import numpy as np
@@ -198,6 +199,59 @@ def test_nodal_solution_samples_only_its_final_shot(monkeypatch):
     assert len(profile.node_radii) == 1
 
 
+def _bisected_amplitude(grid, h):
+    # the reference: the count-only bisection the amplitude search
+    # replaced, on the same scan and stop, every probe the bracket's
+    # midpoint, counted at rtol 1e-9 until the bracket is under 1e-6 hi
+    lo = hi = None
+    a = 1.2
+    while hi is None:
+        if af.scalar._stopped_count(grid, a, h, rtol=1e-9) >= h:
+            hi = a
+        else:
+            lo = a
+        a *= 1.25
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        rtol = 1e-9 if hi - lo > 1e-6 * hi else 1e-11
+        if af.scalar._stopped_count(grid, mid, h, rtol=rtol) >= h:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("dim, h", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3),
+                                    (3, 1), (3, 2)])
+def test_critical_amplitude_matches_the_bisection(dim, h):
+    # the secant on the shots' decay law finds the bisection's amplitude:
+    # measured within 3.7e-13 relative, in 8-29 shots where the bisection
+    # takes 15-50; the line's h >= 2 cases reach a* where the h-th zero
+    # meets r_max, not a decaying solution
+    g = af.build_grid(dim, 1025, {1: 16.0, 2: 30.0, 3: 20.0}[dim])
+    want = _bisected_amplitude(g, h)
+    assert abs(af.scalar._critical_amplitude(g, h) - want) <= 2e-12 * want
+
+
+@pytest.mark.parametrize("dim, h, n, budget", [(2, 5, 1025, 26),
+                                               (3, 3, 4097, 34)])
+def test_nodal_solution_shot_budget(monkeypatch, dim, h, n, budget):
+    # the profile-routes cases' shots, which depend on no grid spacing:
+    # 22 and 30 stopped shots plus the sampled one, where the bisection
+    # made 45 and 53 plus the sampled one (the N=3 polish needs more than
+    # 1025 nodes)
+    g = af.build_grid(dim, n, 40.0)
+    shot, calls = af.scalar._shot, []
+
+    def shot_spy(*args):
+        calls.append(args[1])
+        return shot(*args)
+
+    monkeypatch.setattr(af.scalar, "_shot", shot_spy)
+    af.find_nodal_solution(g, h)
+    assert len(calls) <= budget
+
+
 def test_shots_release_their_steps():
     # scipy's ode never frees its integrator, which holds the step
     # callback: 20 shots here kept 1.4 MiB when the callback kept its
@@ -213,6 +267,24 @@ def test_shots_release_their_steps():
     finally:
         tracemalloc.stop()
     assert grown < 400 * 1024
+
+
+def test_nodal_solution_keeps_little_of_its_shots():
+    # scipy's ode keeps about 2 KiB of every shot's integrator alive: one
+    # profile on (2, 5, 4097, 40) keeps 45 KiB after its 23 shots, where
+    # the bisection's 46 kept 91 KiB
+    g = af.build_grid(2, 4097, 40.0)
+    af.find_nodal_solution(g, 5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        af.find_nodal_solution(g, 5)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 def _reference_shot(grid, amplitude):
@@ -604,6 +676,15 @@ def test_partition_radii_are_stationary_within_a_solve_budget(
                        for l in range(h)])
     grad = slopes[:-1, 1] + slopes[1:, 0]
     assert np.max(np.abs(grad)) * g.dr < 1e-8, grad
+
+
+def test_partition_route_raises_on_radii_left_non_stationary():
+    # on the under-resolved (3, 4, 2049, 40), whose first cell holds about
+    # 7 nodes, the radius Newton stops at |dE/drho| dr = 1.2; converged
+    # profiles end at 2.3e-9 or less
+    g = af.build_grid(3, 2049, 40.0)
+    with pytest.raises(af.NewtonDivergence, match="not stationary"):
+        af.compute_c_infinity(g, 4)
 
 
 def test_partition_route_makes_no_cell_solve_after_the_radius_newton(monkeypatch):
