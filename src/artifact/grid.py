@@ -147,7 +147,8 @@ def _check_info(info: int) -> None:
 
 
 def solve_tridiag(lo, di, up, b):
-    """Solve the tridiagonal system with bands (lo, di, up) for b.
+    """Solve the tridiagonal system with bands (lo, di, up) for b, one
+    right-hand side or the columns of an (n, k) array.
 
     Calls LAPACK ``gtsv`` directly.  ``scipy.linalg.solve_banded((1, 1),
     ...)`` ends in the same call, so the result is identical bit for bit;

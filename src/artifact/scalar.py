@@ -13,8 +13,9 @@ Two independent routes to the same object:
 * ``compute_c_infinity``: direct minimization of the summed bump energies
   over the interface radii (seeded by the least-energy chain of cells
   whose edges lie on a coarse radius set of a grid of at most SEED_NODES
-  nodes, then Newton on the grid, on the exact radius derivatives of the
-  cell energies in the continuous radii).
+  nodes, found by branch and bound, then Newton on the grid, on the exact
+  first and second radius derivatives of the cell energies in the
+  continuous radii).
 
 Both end in one finisher, ``_split_profile``: each bump is polished on the
 grid nodes between the interfaces nearest the radii, from the polished
@@ -30,7 +31,7 @@ zero values outside: the global field, each bump and each cell.
 """
 from __future__ import annotations
 
-import functools
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -411,11 +412,18 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
     terms so the energy varies smoothly with a and b.  At a = r[jlo],
     b = r[jhi] the cell is the grid problem on the nodes jlo < j < jhi.
     a = 0 is the center ball, whose unknowns start at the axis node.
-    Returns (field on the full grid, energy, (dE/da, dE/db)), or
-    (None, inf, None) when fewer than 8 nodes lie inside; dE/da is 0 for
-    the center ball.  The descent's preconditioner, the cell's -Lap+1, is
-    LU-factored once per cell and reused by every step; only the Newton
-    polish, whose matrix changes each step, solves afresh.
+    Returns (field on the full grid, energy, derivatives), derivatives
+    being (dE/da, dE/db, d2E/da2, d2E/da db, d2E/db2), or (None, inf,
+    None) when fewer than 8 nodes lie inside; the a-derivatives are 0 for
+    the center ball.  The second derivatives are exact for the discrete
+    cell: E'' = J'' - g H^-1 g, from one tridiagonal solve with two
+    right-hand sides at the end nodes.
+
+    A cold cell descends in chunks of 10 preconditioned steps, each
+    followed by a Newton polish; a warm one (``u_init`` given) tries the
+    polish first.  The descent's preconditioner, the cell's -Lap+1, is
+    LU-factored once per cell and reused by every step; the Newton polish,
+    whose matrix changes each step, and the Hessian solve afresh.
     """
     n = grid.n_points
     r, dr = grid.nodes, grid.dr
@@ -450,6 +458,9 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
         if dim == 2:
             return 2.0 * ra * ra / (ra + rb) ** 2
         return ra
+
+    def d2gmean(ra, rb):
+        return -4.0 * ra * ra / (ra + rb) ** 3 if dim == 2 else 0.0
 
     # edge q joins unknowns q-1 and q; edges 0 and m reach the boundary
     elen = np.full(m + 1, dr)
@@ -537,35 +548,62 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
                 break
         return u, Jp
 
-    def slopes(u):
-        # envelope theorem: at the minimizer the energy's radius derivative
-        # is its explicit one, 1/2 d(aa) - 1/4 d(bb) at fixed nodal values;
-        # a radius moves only its boundary edge and its end node's mass
+    def derivatives(u):
+        # a radius moves only its boundary edge and its end node's mass, so
+        # J's explicit radius derivatives, and those of its gradient in u,
+        # live on the end node: 1/2 d(aa) - 1/4 d(bb) at fixed nodal values
         def end(q, x, rad, v, sgn):
-            # sgn = d elen[q] / d rad: -1 at the inner edge, +1 at the outer
+            # sgn = d elen[q] / d rad: -1 at the inner edge, +1 at the outer;
+            # returns (dJ, d2J, d grad_v J) in the radius
             dwq = 0.5 * sN * x ** (dim - 1) * sgn
-            dg = (dgmean(x, rad) * elen[q] - sgn * ge[q]) / elen[q] ** 2
-            return 0.5 * (dwq + sN * dg) * v * v - 0.25 * dwq * v**4
-        da = 0.0 if origin else end(0, rw_[0], a, u[0], -1.0)
-        return float(da), float(end(m, rw_[-1], b, u[-1], 1.0))
+            gm, dgm, el = ge[q], dgmean(x, rad), elen[q]
+            dg = (dgm * el - sgn * gm) / el**2
+            d2g = d2gmean(x, rad) / el - 2.0 * sgn * dgm / el**2 + 2.0 * gm / el**3
+            return (0.5 * (dwq + sN * dg) * v * v - 0.25 * dwq * v**4,
+                    0.5 * sN * d2g * v * v, (dwq + sN * dg) * v - dwq * v**3)
+        # envelope theorem: at the critical point the energy's first radius
+        # derivatives are J's explicit ones; its second ones subtract
+        # g H^-1 g, H = diag(wq) (polish matrix) the Hessian of J in u,
+        # whose inverse's end-node entries one two-column solve gives (the
+        # ball's axis node, massless and unlinked for N >= 2, is absent
+        # from J, and its axis row leaves the other rows' solution alone)
+        e = np.zeros((m, 2))
+        e[0, 0], e[-1, 1] = 1.0, 1.0
+        X = solve_tridiag(low, diw - 3.0 * u * u, upw, e)
+        db, Jbb, gb = end(m, rw_[-1], b, u[-1], 1.0)
+        dbb = Jbb - gb * gb * X[-1, 1] / wq[-1]
+        if origin:
+            return 0.0, float(db), 0.0, 0.0, float(dbb)
+        da, Jaa, ga = end(0, rw_[0], a, u[0], -1.0)
+        daa = Jaa - ga * ga * X[0, 0] / wq[0]
+        return (float(da), float(db), float(daa),
+                float(-ga * gb * X[0, 1] / wq[-1]), float(dbb))
 
-    out = np.zeros(n)
-    # descent in chunks of 10 steps, 600 at most, each followed by a
-    # polish attempt; a polish is accepted only when it converges in the
-    # basin the descent is tracking.  Every cold cell of the profile
-    # routes lands on its first polish after 10 steps; after 5, a quarter
-    # or more of them need a second
-    for _ in range(60):
-        u, Jp = pgd(u, Jp, 10)
+    def polished(u, Jp):
+        # the polish is accepted only when it converges in the basin of u
         u2, _, _, ok = _newton(low, diw, upw, u, 1e-12, 40)
         if ok and u2.min() > -1e-9:
             u2 = np.maximum(u2, 0.0)
             J2 = 0.25 * np.dot(wq, u2**4)
             if abs(J2 - Jp) < 0.05 * abs(Jp) + 1e-6:
-                out[jfirst : jlast + 1] = u2
-                return out, float(J2), slopes(u2)
-    out[jfirst : jlast + 1] = u
-    return out, float(0.25 * np.dot(wq, u**4)), slopes(u)
+                return u2, J2
+        return None, None
+
+    out = np.zeros(n)
+    # a warm cell tries its polish first; then descent in chunks of 10
+    # steps, 600 at most, each followed by a polish attempt.  Every cold
+    # cell of the profile routes lands on its first polish after 10
+    # steps; after 5, a quarter or more of them need a second
+    u2, J2 = polished(u, Jp) if u_init is not None else (None, None)
+    chunks = 0
+    while u2 is None and chunks < 60:
+        u, Jp = pgd(u, Jp, 10)
+        u2, J2 = polished(u, Jp)
+        chunks += 1
+    if u2 is None:
+        u2, J2 = u, 0.25 * np.dot(wq, u**4)
+    out[jfirst : jlast + 1] = u2
+    return out, float(J2), derivatives(u2)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +611,7 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
 
 SEED_NODES = 1025  # the partition seed's grid has at most this many nodes
 STATIONARY_SLOPE = 1e-6  # the largest |dE/drho| dr the radius Newton may leave
+SEED_SLACK = 1e-12  # relative roundoff by which a cell's energy may undercut its bound
 
 
 def _partition_seed(grid: RadialGrid, h: int):
@@ -582,8 +621,22 @@ def _partition_seed(grid: RadialGrid, h: int):
     than 8 nodes costing inf, on the grid of min(n, SEED_NODES) nodes and
     the same r_max, so every finer grid gets one seed.  It only has to land
     in the optimum's basin; ``_stationary_radii`` refines it on the grid.
-    Each distinct cell is solved once and cold, so the energies are
-    deterministic."""
+    Each cell is solved at most once and cold, so the energies are
+    deterministic.
+
+    The chains are searched best-first by branch and bound.  A cell on
+    nodes is the grid problem on its own nodes, so its ground state costs
+    at least as much as that of any cell containing it: an interior cell
+    (i, j) at least max(E(0, j), E(i, last)), both outer cells, which are
+    solved first.  A chain's bound sums the exact energies of its solved
+    cells and the bounds of the others; the chain of least bound has its
+    cells solved once its bound is current, and the search stops when the
+    least bound left, less SEED_SLACK of it, exceeds the best exact total.
+    Every chain that could tie or beat the best is thus summed exactly, in
+    the same order, and ties go to the first chain in lexicographic order,
+    so the result is the exhaustive search's ``min`` over all chains, in
+    about a third of its cell solves.
+    """
     if grid.n_points > SEED_NODES:
         grid = build_grid(grid.dimension, SEED_NODES, grid.r_max)
     last = grid.n_points - 1
@@ -594,33 +647,55 @@ def _partition_seed(grid: RadialGrid, h: int):
     while off < last - 8:
         cand.add(off)
         off = 2 * off + 1
+    energies = {}
 
-    @functools.cache
-    def cell(jlo, jhi):
-        return _annulus_cont(grid, grid.nodes[jlo], grid.nodes[jhi])[1]
+    def cell(i, j):
+        if (i, j) not in energies:
+            energies[i, j] = _annulus_cont(grid, grid.nodes[i], grid.nodes[j])[1]
+        return energies[i, j]
 
-    def total(cuts):
+    def bound(i, j):
+        if (i, j) in energies or i == 0 or j == last:
+            return cell(i, j)
+        return max(cell(0, j), cell(i, last))
+
+    def total(cuts, energy):
         edges = (0, *cuts, last)
-        return sum(cell(i, j) for i, j in zip(edges, edges[1:]))
+        return sum(energy(i, j) for i, j in zip(edges, edges[1:]))
 
-    best = min(itertools.combinations(sorted(cand), h - 1), key=total, default=None)
-    if best is None or total(best) == np.inf:
+    heap = [(total(cuts, bound), cuts)
+            for cuts in itertools.combinations(sorted(cand), h - 1)]
+    heapq.heapify(heap)
+    best = (np.inf, ())
+    while heap and heap[0][0] * (1.0 - SEED_SLACK) <= best[0]:
+        was, cuts = heapq.heappop(heap)
+        now = total(cuts, bound)
+        if now > was:
+            heapq.heappush(heap, (now, cuts))
+        else:
+            best = min(best, (total(cuts, cell), cuts))
+    if best[0] == np.inf:
         raise EmptyAnnulus(f"grid too coarse to host {h} bumps")
-    return grid.nodes[[0, *best, last]]
+    return grid.nodes[[0, *best[1], last]]
 
 
 def _stationary_radii(grid: RadialGrid, rho):
     """Newton on dE/drho_i = dJ_{i-1}/db + dJ_i/da over the interior radii.
 
-    One pass over the h cells gives E and its gradient, since every cell
-    solve returns both radius derivatives.  A cell couples only its two
-    radii, so the Hessian is tridiagonal; it comes from one-sided
-    differences of each cell's derivatives, and is kept while full steps
-    stay under dr.  A step halves until E does not rise; once a step from
-    a fresh Hessian moves no radius more than 1e-3 dr, returns the radii
-    and the fields of the cell solves at them.  Converged profiles end at
-    |dE/drho| dr <= 2.3e-9; an exit above STATIONARY_SLOPE (an
-    under-resolved grid stopped at 1.2) raises NewtonDivergence.
+    One pass over the h cells gives E, its gradient and its Hessian, since
+    every cell solve returns its first and second radius derivatives (see
+    ``_annulus_cont``).  A cell couples only its two radii, so the Hessian
+    is tridiagonal and exact.  A step halves until E does not rise.  A
+    step that moves no radius more than 1e-3 dr is taken in full and
+    untested, since it changes E by less than the cells' roundoff (9e-10
+    of 1507 on (3, 5, 8193, 20)); then the radii and the fields of the
+    cell solves at them are returned.  A longer step that the energy test
+    damps to that length does not stop the iteration: the test sits at
+    roundoff there, and on (3, 5, 8193, 20) such steps crawled for 6
+    passes at |dE/drho| dr = 1.4e-8 to 2.2e-8.  Converged profiles end at
+    |dE/drho| dr <= 8.3e-12 on 12 cases (N = 1..3, h = 2..7); an exit
+    above STATIONARY_SLOPE (an under-resolved grid stopped at 8.4)
+    raises NewtonDivergence.
     """
     h = len(rho) - 1
     dr, r = grid.dr, grid.nodes
@@ -642,47 +717,34 @@ def _stationary_radii(grid: RadialGrid, rho):
         return sols, sum(J for _, J, _ in sols)
 
     sols, E = cells(rho)
-    H, fresh = None, True
     for _ in range(40):
         warm = [u for u, _, _ in sols]
-        S = np.array([dJ for _, _, dJ in sols])
-        g = S[:-1, 1] + S[1:, 0]
-        if fresh:
-            H = np.zeros((h - 1, h - 1))
-            for i in range(1, h):
-                # radius i is the outer edge of cell i-1, the inner of cell i
-                for l, e in ((i - 1, 1), (i, 0)):
-                    # the shift grows the cell, so it keeps all its nodes
-                    eps = (0.05 if e else -0.05) * dr
-                    x = rho.copy()
-                    x[i] += eps
-                    ds = (np.array(cell(l, x)[2]) - S[l]) / eps
-                    H[i - 1, i - 1] += ds[e]
-                    if 0 < l < h - 1:
-                        H[l - 1, l] += 0.5 * ds[1 - e]
-                        H[l, l - 1] += 0.5 * ds[1 - e]
+        # per cell: dE/da, dE/db, d2E/da2, d2E/da db, d2E/db2
+        D = np.array([dJ for _, _, dJ in sols])
+        g = D[:-1, 1] + D[1:, 0]
+        H = np.diag(D[:-1, 4] + D[1:, 2])
+        H += np.diag(D[1:-1, 3], 1) + np.diag(D[1:-1, 3], -1)
         d = -np.linalg.solve(H, g)
         if np.dot(d, g) >= 0:
             d = -g / np.abs(np.diag(H))
+        short = np.max(np.abs(d)) <= 1e-3 * dr
         t = 1.0
         while t > 1e-4:
             x = rho.copy()
             x[1:-1] += t * d
             if np.all(np.diff(x) > 0):
                 trial, Et = cells(x)
-                if Et <= E + 1e-13 * abs(E):
+                # a short step changes E by less than the cells' roundoff
+                if short or Et <= E + 1e-13 * abs(E):
                     break
             t *= 0.5
         else:
             break
         rho, sols, E = x, trial, Et
-        step = np.max(np.abs(t * d))
-        if step <= 1e-3 * dr and fresh:
+        if short:
             break
-        # a short step from a kept Hessian is retaken from a fresh one
-        fresh = t < 1.0 or not 1e-3 * dr < step <= dr
-    S = np.array([dJ for _, _, dJ in sols])
-    slope = float(np.max(np.abs(S[:-1, 1] + S[1:, 0]))) * dr
+    D = np.array([dJ for _, _, dJ in sols])
+    slope = float(np.max(np.abs(D[:-1, 1] + D[1:, 0]))) * dr
     if slope > STATIONARY_SLOPE:
         raise NewtonDivergence(
             f"interface radii not stationary: |dE/drho| dr = {slope:.2e}")
@@ -692,15 +754,18 @@ def _stationary_radii(grid: RadialGrid, rho):
 def compute_c_infinity(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> NodalProfile:
     """Partition route: minimize the summed bump energies over the radii.
 
-    Newton in the continuous interface radii from the seed radii, which
-    are the same on every grid finer than SEED_NODES nodes.  At the
-    minimum dE/drho_i = 0 at every interface, the discrete form of the
-    equal-flux (C^1) matching of the nodal solution.  The final bumps
-    are polished from the fields of the last cell solves (for h = 1, one
-    cold solve of the ball) on the nodes between the nodes nearest the
-    radii: there they solve the grid problem, so they satisfy the
-    constraint under the global quadrature, which off-node radii would
-    not (their cut-cell terms are absent from the grid).
+    Newton in the continuous interface radii (``_stationary_radii``, on
+    the exact tridiagonal Hessian of the summed cell energies) from the
+    seed radii (``_partition_seed``, a branch and bound over chains of
+    node-aligned cells), which are the same on every grid finer than
+    SEED_NODES nodes.  At the minimum dE/drho_i = 0 at every interface,
+    the discrete form of the equal-flux (C^1) matching of the nodal
+    solution.  The final bumps are polished from the fields of the last
+    cell solves (for h = 1, one cold solve of the ball) on the nodes
+    between the nodes nearest the radii: there they solve the grid
+    problem, so they satisfy the constraint under the global quadrature,
+    which off-node radii would not (their cut-cell terms are absent from
+    the grid).
     """
     if h < 1:
         raise ConfigError(f"h must be at least 1, got {h}")

@@ -110,6 +110,19 @@ def test_tridiag_helpers_match_solve_banded_on_grid_bands():
     assert np.array_equal(factor_tridiag(*bands)(b), want)
 
 
+@pytest.mark.parametrize("dominant", [True, False])
+def test_tridiag_solve_takes_columns_of_right_hand_sides(rng, dominant):
+    # one gtsv call on an (n, 2) array solves each column as on its own;
+    # a cell solve's radius Hessian takes its two end-node columns this way
+    lo, di, up = _random_bands(rng, 257, dominant)
+    B = rng.standard_normal((257, 2))
+    X = solve_tridiag(lo, di, up, B)
+    assert X.shape == (257, 2)
+    for k in range(2):
+        assert np.allclose(X[:, k], solve_tridiag(lo, di, up, B[:, k]),
+                           rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["lo", "di", "up", "b"])
 def test_tridiag_helpers_reject_nonfinite(rng, bad, where):

@@ -1,6 +1,8 @@
 """Shooting classification, nodal profiles, and the two routes to the
 segregated energy."""
+import functools
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -468,18 +470,22 @@ def test_annulus_bands_match_loop_reference(monkeypatch, dim, a, b, origin):
 
 
 def test_annulus_factors_its_preconditioner_once(monkeypatch):
-    # the descent reuses one factorization of the cell's -Lap+1; only the
-    # Newton polish, whose matrix changes every step, solves from scratch
+    # the descent reuses one factorization of the cell's -Lap+1; the
+    # Newton polish, whose matrix changes every step, solves from scratch,
+    # and the radius Hessian takes one more solve, with two right-hand sides
     g = af.build_grid(2, 1025, 20.0)
     newton = af.scalar._newton
-    factors, in_newton, depth = [], [], [0]
+    factors, in_newton, outside, depth = [], [], [], [0]
 
     def factor_spy(lo, di, up):
         factors.append(len(di))
         return factor_tridiag(lo, di, up)
 
     def solve_spy(lo, di, up, b):
-        in_newton.append(depth[0] > 0)
+        if depth[0] > 0:
+            in_newton.append(b.shape)
+        else:
+            outside.append(b.shape)
         return solve_tridiag(lo, di, up, b)
 
     def newton_spy(*args):
@@ -494,7 +500,36 @@ def test_annulus_factors_its_preconditioner_once(monkeypatch):
     monkeypatch.setattr(af.scalar, "_newton", newton_spy)
     af.scalar._annulus_cont(g, 2.61, 9.47)
     assert len(factors) == 1
-    assert in_newton and all(in_newton)
+    assert in_newton and all(len(shape) == 1 for shape in in_newton)
+    assert outside == [(factors[0], 2)]
+
+
+def test_warm_cell_starts_at_its_polish(monkeypatch):
+    # a cell given u_init polishes before any descent step: warm from the
+    # solution of a cell 0.3 dr narrower, it takes no step and one polish
+    g = af.build_grid(3, 4097, 40.0)
+    cell, newton = af.scalar._annulus_cont, af.scalar._newton
+    steps, polishes = [], []
+
+    def factor_spy(lo, di, up):
+        solve = factor_tridiag(lo, di, up)
+
+        def counted(b):
+            steps.append(1)
+            return solve(b)
+
+        return counted
+
+    def newton_spy(*args):
+        polishes.append(1)
+        return newton(*args)
+
+    u, energy, _ = cell(g, 2.61, 9.47)
+    monkeypatch.setattr(af.scalar, "factor_tridiag", factor_spy)
+    monkeypatch.setattr(af.scalar, "_newton", newton_spy)
+    _, energy2, _ = cell(g, 2.61, 9.47 + 0.3 * g.dr, u_init=u)
+    assert steps == [] and polishes == [1]
+    assert energy2 < energy
 
 
 def test_fine_cells_accept_their_first_polish(monkeypatch):
@@ -587,6 +622,65 @@ def test_cold_seed_cells_land_on_their_first_polish(monkeypatch, dim, n, r_max, 
         assert k <= 10 and m == 1, (radii, k, m)
 
 
+def _reference_seed(grid, h):
+    # the exhaustive search the branch and bound replaces: every cell of
+    # every chain on the candidate cuts, and the first chain of least
+    # total in lexicographic order
+    if grid.n_points > af.scalar.SEED_NODES:
+        grid = af.build_grid(grid.dimension, af.scalar.SEED_NODES, grid.r_max)
+    last = grid.n_points - 1
+    cand = {int(x) for x in np.linspace(8, last - 8, 6)}
+    off = 8
+    while off < last - 8:
+        cand.add(off)
+        off = 2 * off + 1
+
+    @functools.cache
+    def cell(jlo, jhi):
+        return af.scalar._annulus_cont(grid, grid.nodes[jlo], grid.nodes[jhi])[1]
+
+    def total(cuts):
+        edges = (0, *cuts, last)
+        return sum(cell(i, j) for i, j in zip(edges, edges[1:]))
+
+    best = min(itertools.combinations(sorted(cand), h - 1), key=total)
+    return grid.nodes[[0, *best, last]], cell.cache_info().currsize
+
+
+@pytest.mark.parametrize("dim, h, n, r_max", [(2, 5, 8193, 40.0),
+                                               (3, 3, 4097, 40.0),
+                                               (1, 3, 1025, 16.0),
+                                               (2, 7, 8193, 40.0),
+                                               (3, 5, 4097, 20.0)])
+def test_partition_seed_is_the_exhaustive_search(monkeypatch, dim, h, n, r_max):
+    # the branch and bound returns the exhaustive search's radii bit for
+    # bit, in 27-34 cell solves where the exhaustive one makes 70-88.  Its
+    # premise holds on every cell it solves: an interior cell costs at
+    # least both outer cells that contain it, within SEED_SLACK (over the
+    # 10,302 inclusion pairs of seed-grid cells in N = 1..3, the worst
+    # measured undercut was 6.5e-14)
+    g = af.build_grid(dim, n, r_max)
+    want, exhaustive = _reference_seed(g, h)
+    cell = af.scalar._annulus_cont
+    energies = {}
+
+    def spy(grid, a, b, **kwargs):
+        out = cell(grid, a, b, **kwargs)
+        energies[round(a / grid.dr), round(b / grid.dr)] = out[1]
+        return out
+
+    monkeypatch.setattr(af.scalar, "_annulus_cont", spy)
+    got = af.scalar._partition_seed(g, h)
+    assert got.tobytes() == want.tobytes()
+    assert len(energies) <= 36 and 2 * len(energies) < exhaustive
+    last = min(n, af.scalar.SEED_NODES) - 1
+    interior = [(i, j) for i, j in energies if 0 < i and j < last]
+    assert interior
+    for i, j in interior:
+        bound = max(energies[0, j], energies[i, last])
+        assert energies[i, j] >= bound * (1.0 - af.scalar.SEED_SLACK), (i, j)
+
+
 def test_partition_seed_is_one_seed_past_the_seed_grid():
     # past SEED_NODES nodes the chain is searched on the 1025-node grid, so
     # every finer grid starts the radius Newton from the same radii (node
@@ -648,16 +742,43 @@ def test_cell_radius_derivative_matches_finite_differences(dim, a, b, origin):
         assert slopes[0] == 0.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("a, b, origin", [(0.0, 3.31, True),
+                                          (2.613, 9.4717, False)])
+def test_cell_radius_hessian_matches_finite_differences(dim, a, b, origin):
+    # the exact second derivatives each cell solve returns, E'' = J'' -
+    # g H^-1 g, against central differences of its radius derivatives
+    # (step 0.01 dr); measured worst relative gap 3.7e-7.  The center ball
+    # has no inner radius, so no a-derivatives (and zero axis mass)
+    g = af.build_grid(dim, 1025, 20.0)
+    u, _, d = af.scalar._annulus_cont(g, a, b)
+    hess = {(0, 0): d[2], (0, 1): d[3], (1, 0): d[3], (1, 1): d[4]}
+    eps = 0.01 * g.dr
+    radii = (1,) if origin else (0, 1)
+    for k in radii:
+        hi, lo = [a, b], [a, b]
+        hi[k] += eps
+        lo[k] -= eps
+        fd = (np.array(af.scalar._annulus_cont(g, *hi, u_init=u)[2][:2])
+              - np.array(af.scalar._annulus_cont(g, *lo, u_init=u)[2][:2]))
+        fd /= 2 * eps
+        for j in radii:
+            assert abs(fd[j] - hess[k, j]) <= 2e-6 * abs(hess[k, j]), (k, j, fd[j])
+    if origin:
+        assert d[2] == d[3] == 0.0
+
+
 @pytest.mark.parametrize("dim, h, n, r_max", [(2, 3, 2049, 30.0),
                                                (2, 5, 8193, 40.0),
-                                               (3, 3, 4097, 40.0)])
+                                               (3, 3, 4097, 40.0),
+                                               (3, 5, 8193, 20.0)])
 def test_partition_radii_are_stationary_within_a_solve_budget(
         monkeypatch, dim, h, n, r_max):
     # at the returned radii the energy's derivative in every interface
     # radius vanishes: the discrete equal-flux condition.  Measured
-    # |dE/drho| dr <= 3.5e-10; moving one radius by 1e-3 dr gives 3e-6
-    # or more.  A stop on a short step from a kept Hessian leaves 6.9e-8
-    # on the first case and 4.7e-8 on the third
+    # |dE/drho| dr <= 3.5e-12; moving one radius by 1e-3 dr gives 3e-6
+    # or more.  A stop on a short damped step leaves 1.9e-8 on the last
+    # case
     g = af.build_grid(dim, n, r_max)
     solve = af.scalar._annulus_cont
     calls = []
@@ -668,9 +789,10 @@ def test_partition_radii_are_stationary_within_a_solve_budget(
 
     monkeypatch.setattr(af.scalar, "_annulus_cont", spy)
     profile = af.compute_c_infinity(g, h)
-    # 121, 166 and 131 cell solves measured; the golden-section search
-    # made 744 on the first case
-    assert len(calls) <= 200
+    # 45, 71, 48 and 71 cell solves measured (121, 166, 131 and 197 with
+    # the exhaustive seed and a difference Hessian); the golden-section
+    # search made 744 on the first case
+    assert len(calls) <= 80
     rho = [0.0, *profile.node_radii, g.r_max]
     slopes = np.array([solve(g, rho[l], rho[l + 1])[2]
                        for l in range(h)])
