@@ -12,7 +12,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -73,16 +73,7 @@ class ExperimentConfig:
             raise ConfigError("tol_nehari must be positive and finite")
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "n_points": self.n_points,
-            "r_max": self.r_max,
-            "h": self.h,
-            "sigma": list(self.sigma),
-            "beta_schedule": list(self.beta_schedule),
-            "tol_nehari": self.tol_nehari,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(beta_schedule=self.beta_schedule)
@@ -167,14 +158,18 @@ def build_cli_config(args) -> ExperimentConfig:
 
 
 def make_run_dir(config: ExperimentConfig, kind: str, label=None) -> str:
-    os.makedirs(config.output_dir, exist_ok=True)
     stem = label if label else f"{kind}-{time.strftime('%Y%m%d-%H%M%S')}"
     path = os.path.join(config.output_dir, stem)
     suffix = 1
-    while os.path.exists(path):
-        suffix += 1
-        path = os.path.join(config.output_dir, f"{stem}-{suffix}")
-    os.makedirs(path)
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+        while os.path.exists(path):
+            suffix += 1
+            path = os.path.join(config.output_dir, f"{stem}-{suffix}")
+        os.makedirs(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot make a run directory in {config.output_dir!r}: "
+                          f"{exc}") from exc
     return path
 
 

@@ -48,21 +48,6 @@ class RadialGrid:
         return SPHERE_MEASURE[self.dimension]
 
 
-@dataclass
-class RadialField:
-    """A per-node sample vector tied to its grid."""
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_points,):
-            raise ConfigError(
-                f"field length {self.values.shape} != grid size {self.grid.n_points}"
-            )
-
-
 def build_grid(dimension: int, n_points: int = 4096, r_max: float = 40.0) -> RadialGrid:
     """Construct the uniform radial grid with n_points nodes on [0, r_max]."""
     if dimension not in (1, 2, 3):
@@ -118,12 +103,6 @@ def _operator_bands(dimension, r, dr, g):
     di[-1] = 1.0
     lo[-1] = 0.0
     return lo, di, up
-
-
-def _values(u) -> np.ndarray:
-    if isinstance(u, RadialField):
-        return u.values
-    return np.asarray(u, dtype=float)
 
 
 def apply_tridiag(lo, di, up, u):
@@ -258,8 +237,8 @@ def h1_inner(grid: RadialGrid, u, v) -> float:
     Gradients are one-sided per interval (exact summation by parts against
     the operator bands for fields vanishing at r_max).
     """
-    uu = _values(u)
-    vv = _values(v)
+    uu = np.asarray(u, dtype=float)
+    vv = np.asarray(v, dtype=float)
     if uu.shape != (grid.n_points,) or vv.shape != (grid.n_points,):
         raise ConfigError("field does not match grid")
     du = (uu[1:] - uu[:-1]) / grid.dr
@@ -276,7 +255,7 @@ def h1_norm_sq(grid: RadialGrid, u) -> float:
 
 def lp_integral(grid: RadialGrid, u, p) -> float:
     """Integral of |u|^p over R^N via the trapezoid weights."""
-    v = _values(u)
+    v = np.asarray(u, dtype=float)
     if v.shape != (grid.n_points,):
         raise ConfigError("field does not match grid")
     return float(np.dot(grid.quad_weights, np.abs(v) ** p))

@@ -46,7 +46,6 @@ from .errors import (
     StepFailure,
 )
 from .grid import (
-    RadialField,
     RadialGrid,
     apply_tridiag,
     build_grid,
@@ -57,28 +56,18 @@ from .grid import (
     solve_tridiag,
 )
 
-DECAYED = "Decayed"
-OSCILLATING = "Oscillating"
-
 SIGN_DEADBAND = 1e-12
 ITP_SLACK = 4  # probes the amplitude search may add to a bisection's log2 count
 ode = None  # scipy.integrate.ode, bound by the first shot (``_shot``)
 
 
 @dataclass
-class ShotResult:
-    initial_amplitude: float
-    sign_changes: int
-    terminal_behavior: str
-    trajectory: RadialField
-
-
-@dataclass
 class NodalProfile:
     """h ordered nonnegative bumps with disjoint supports on one grid.
 
-    ``solution`` is the signed field (bump l carries sign (-1)^l) when the
-    profile came from the shooting route; the partition route reports only
+    The shooting route also reports the signed field ``solution`` (bump l
+    carries sign (-1)^l), its max-norm residual ``residual`` and the
+    critical shot amplitude ``amplitude``; the partition route reports only
     the bumps.  ``energies[l]`` is the free energy of bump l and
     ``c_value`` their sum.
     """
@@ -104,13 +93,6 @@ def _ode_rhs(dim):
         return (p, wv - wv**3 - (dim - 1) / rr * p)
 
     return f
-
-
-def count_sign_changes(values: np.ndarray, deadband: float = SIGN_DEADBAND) -> int:
-    s = np.sign(values[np.abs(values) >= deadband])
-    if len(s) < 2:
-        return 0
-    return int(np.sum(s[1:] != s[:-1]))
 
 
 def _shot(grid: RadialGrid, amplitude: float, rtol: float, stop):
@@ -150,8 +132,9 @@ def _shot(grid: RadialGrid, amplitude: float, rtol: float, stop):
     return flips, r, w, p
 
 
-def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
-    """Integrate outward from w(0)=amplitude, w'(0)=0 and classify the tail.
+def shoot(grid: RadialGrid, amplitude: float):
+    """The shot from w(0)=amplitude, w'(0)=0, sampled on the nodes:
+    (sign changes, values).
 
     The energy E = w'^2/2 - w^2/2 + w^4/4 never rises along r
     (dE/dr = -(N-1)/r w'^2), so |w| <= max(amplitude, sqrt(2)) on every
@@ -163,7 +146,8 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
     last step get the cubic Hermite polynomial of (w, w') on their step,
     within about 1e-6 of the amplitude: a start for a Newton polish, not
     a 1e-12 solution.  Sign changes are counted at the accepted steps:
-    node samples would miss zeros closer together than dr.
+    node samples would miss zeros closer together than dr.  A shot that
+    never falls under the floor is sampled up to r_max as it is.
     """
     if not amplitude > 0:
         raise ConfigError("amplitude must be positive")
@@ -178,13 +162,7 @@ def shoot(grid: RadialGrid, amplitude: float) -> ShotResult:
     s = (x[on] - r[j]) / d
     vals[on] = ((1 + 2 * s) * w[j] + s * d * p[j]) * (1 - s) ** 2 \
         + s * s * ((3 - 2 * s) * w[j + 1] + (s - 1) * d * p[j + 1])
-    aw = np.abs(vals)
-    seg = aw[-max(8, len(aw) // 10) :]
-    decreasing = seg[-1] <= seg[0] and np.max(seg) <= max(seg[0], 1e-8)
-    decayed = w[-1] ** 2 + p[-1] ** 2 < floor_sq or (aw[-1] < 1e-8 and decreasing)
-    return ShotResult(initial_amplitude=float(amplitude), sign_changes=flips,
-                      terminal_behavior=DECAYED if decayed else OSCILLATING,
-                      trajectory=RadialField(grid, vals))
+    return flips, vals
 
 
 def _stopped_shot(grid: RadialGrid, amplitude: float, h: int, rtol: float):
@@ -204,11 +182,6 @@ def _stopped_shot(grid: RadialGrid, amplitude: float, h: int, rtol: float):
     if flips < h:
         return flips, None
     return flips, float(r[-2] - w[-2] * (r[-1] - r[-2]) / (w[-1] - w[-2]))
-
-
-def _stopped_count(grid: RadialGrid, amplitude: float, h: int, rtol: float) -> int:
-    """Sign changes of the shot from w(0)=amplitude: exact below h, else h."""
-    return _stopped_shot(grid, amplitude, h, rtol)[0]
 
 
 def _critical_amplitude(grid: RadialGrid, h: int) -> float:
@@ -370,17 +343,15 @@ def find_nodal_solution(grid: RadialGrid, h: int, tol_nehari: float = 1e-8) -> N
 
     The shot at the critical amplitude (``_critical_amplitude``: a
     secant on the decay law of the shots' h-th zero, within 1e-12
-    relative, in 8-35 shots where a bisection took 15-57), its
-    decayed tail continued with e^{-r}, is polished on every node but the
-    Dirichlet one; the zeros of the polished field W are the radii, and
-    |W| starts every bump.
+    relative, in 8-35 shots), its decayed tail continued with e^{-r}, is
+    polished on every node but the Dirichlet one; the zeros of the
+    polished field W are the radii, and |W| starts every bump.
     """
     if h < 1:
         raise ConfigError(f"h must be at least 1, got {h}")
     r, dr = grid.nodes, grid.dr
     a = _critical_amplitude(grid, h)
-    W, resid, ok = _polish(grid, 0, grid.n_points - 1,
-                           shoot(grid, a).trajectory.values)
+    W, resid, ok = _polish(grid, 0, grid.n_points - 1, shoot(grid, a)[1])
     if not ok:
         raise NewtonDivergence(f"global polish stalled at residual {resid:.2e}")
     flips = [j for j in range(grid.n_points - 2) if W[j] * W[j + 1] < 0]

@@ -20,6 +20,7 @@ is a standalone tool that no stage calls.
 """
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -72,8 +73,11 @@ class SolverConfig:
     beta_schedule: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 
     def __post_init__(self) -> None:
-        if any(isinstance(b, bool) for b in self.beta_schedule):
-            raise ConfigError("beta_schedule entries must be numbers, not booleans")
+        # float() would also take "10" or True
+        if not all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                   for b in self.beta_schedule):
+            raise ConfigError("beta_schedule entries must be numbers, "
+                              f"got {list(self.beta_schedule)}")
         sched = tuple(float(b) for b in self.beta_schedule)
         if len(sched) == 0:
             raise ConfigError("beta_schedule must be nonempty")

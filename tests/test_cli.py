@@ -416,13 +416,15 @@ def test_legacy_outer_tol_key_is_dropped(tmp_path, key, value):
                                    {"h": 2, "sigma": [True, 2]}, {"r_max": True},
                                    {"tol_nehari": True},
                                    {"beta_schedule": [True, 10.0]},
-                                   {"beta_schedule": [0.5, True]}])
+                                   {"beta_schedule": [0.5, True]},
+                                   {"beta_schedule": ["10", "1e2"]}])
 def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
     # sigma [1, 2.5, 1] and n_points 257.5 used to run silently as
     # (1, 2, 1) and 257; the others escaped main as a bare ValueError or
     # TypeError, h = 2.5 only once the profile was computed.  JSON true
     # ran as 1 (r_max and tol_nehari were written back as true), and
-    # r_max NaN was caught only after the run directory was made
+    # r_max NaN was caught only after the run directory was made; the
+    # strings "10", "1e2" ran as the schedule (10.0, 100.0)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(cli.ExperimentConfig().to_dict(), **entry)))
     with pytest.raises(cli.ConfigError):
@@ -483,6 +485,22 @@ def test_run_dir_never_clobbers(tmp_path):
     second = cli.make_run_dir(cfg, "solve", label="same")
     assert first != second
     assert os.path.isdir(first) and os.path.isdir(second)
+
+
+@pytest.mark.parametrize("out", ["", "taken"], ids=["empty", "a-file"])
+def test_unusable_out_is_a_config_error(tmp_path, monkeypatch, capsys, out):
+    # an empty --out escaped main as FileNotFoundError, and an existing
+    # file as FileExistsError, each with exit 1 and a traceback
+    monkeypatch.chdir(tmp_path)
+    if out:
+        (tmp_path / out).write_text("")
+    rc, _, err = run_cli(["scalar", "--dim", "1", "--n-points", "513",
+                          "--r-max", "16", "--h", "1", "--sigma", "1",
+                          "--out", out], capsys)
+    assert rc == 2 and len(err.splitlines()) == 1
+    blob = json.loads(err)
+    assert blob["error"] == "config" and repr(out) in blob["message"]
+    assert os.listdir(tmp_path) == ([out] if out else [])
 
 
 @pytest.mark.parametrize("text", ["1,a,2", "", "1;2"])

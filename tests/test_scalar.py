@@ -1,5 +1,4 @@
-"""Shooting classification, nodal profiles, and the two routes to the
-segregated energy."""
+"""Shots, nodal profiles, and the two routes to the segregated energy."""
 import functools
 import gc
 import itertools
@@ -20,41 +19,45 @@ from artifact.grid import (
 )
 
 
+def _tail(w):
+    return np.abs(w[-len(w) // 10 :])
+
+
 def test_shoot_soliton_amplitude_decays(grid_n1):
-    shot = af.shoot(grid_n1, np.sqrt(2.0))
-    assert shot.terminal_behavior == "Decayed"
-    assert shot.sign_changes == 0
-    # below the decay floor used by the tail classifier
-    assert abs(shot.trajectory.values[-1]) < 1e-5
+    flips, w = af.scalar.shoot(grid_n1, np.sqrt(2.0))
+    assert flips == 0
+    # decayed: under the shot's decay floor at r_max
+    assert abs(w[-1]) < 1e-5
 
 
 def test_shoot_subcritical_amplitude_oscillates(grid_n1):
     # the zero state is unstable: tiny data grows to O(1), then the
     # double-well potential confines it above zero
-    shot = af.shoot(grid_n1, 1e-6)
-    assert shot.terminal_behavior == "Oscillating"
-    assert shot.sign_changes == 0
-    assert np.max(shot.trajectory.values) > 0.5
+    flips, w = af.scalar.shoot(grid_n1, 1e-6)
+    assert flips == 0
+    assert np.max(w) > 0.5
+    assert np.min(_tail(w)) > 0.5
 
 
 def test_shoot_inside_well_oscillates(grid_n1):
-    shot = af.shoot(grid_n1, 1.0)
-    assert shot.terminal_behavior == "Oscillating"
-    assert shot.sign_changes == 0
+    # w = 1 solves the equation: the shot stays there and never decays
+    flips, w = af.scalar.shoot(grid_n1, 1.0)
+    assert flips == 0
+    assert np.min(_tail(w)) > 0.5
 
 
 def test_shoot_rejects_nonpositive_amplitude(grid_n1):
     with pytest.raises(af.ConfigError):
-        af.shoot(grid_n1, 0.0)
+        af.scalar.shoot(grid_n1, 0.0)
 
 
 def test_shoot_bracket_flips_sign_count():
     g = af.build_grid(3, 1025, 20.0)
     profile = af.find_nodal_solution(g, 1)
-    below = af.shoot(g, profile.amplitude * 0.98)
-    above = af.shoot(g, profile.amplitude * 1.02)
-    assert below.sign_changes == 0
-    assert above.sign_changes >= 1
+    below, _ = af.scalar.shoot(g, profile.amplitude * 0.98)
+    above, _ = af.scalar.shoot(g, profile.amplitude * 1.02)
+    assert below == 0
+    assert above >= 1
 
 
 def _line_zeros(r_max, a):
@@ -76,8 +79,8 @@ def test_shoot_counts_zeros_closer_than_the_spacing(a):
     g = af.build_grid(1, 257, 3.0)
     zeros = _line_zeros(g.r_max, a)
     assert zeros > 256
-    assert af.shoot(g, a).sign_changes == zeros
-    assert af.scalar._stopped_count(g, a, 10**9, rtol=1e-12) == zeros
+    assert af.scalar.shoot(g, a)[0] == zeros
+    assert af.scalar._stopped_shot(g, a, 10**9, rtol=1e-12)[0] == zeros
 
 
 @pytest.mark.parametrize("dim, a", [(d, a) for d in (1, 2, 3)
@@ -87,14 +90,21 @@ def test_shot_stays_under_its_energy_bound(dim, a):
     # E = w'^2/2 - w^2/2 + w^4/4 never rises along r, so |w| stays under
     # max(a, sqrt(2)) and no shot can blow up
     g = af.build_grid(dim, 257, 3.0)
-    w = af.shoot(g, a).trajectory.values
+    _, w = af.scalar.shoot(g, a)
     assert np.max(np.abs(w)) <= max(a, np.sqrt(2.0)) * (1 + 1e-9)
+
+
+def _count_sign_changes(values, deadband=af.scalar.SIGN_DEADBAND):
+    # the reference count of node samples: signs of the values at or
+    # above the deadband (the shots count at their accepted steps)
+    s = np.sign(values[np.abs(values) >= deadband])
+    return int(np.sum(s[1:] != s[:-1]))
 
 
 def test_count_sign_changes_deadband():
     vals = np.array([1.0, 1e-14, -1e-14, -1.0, 1e-13, 1.0])
-    assert af.count_sign_changes(vals, deadband=1e-12) == 2
-    assert af.count_sign_changes(-vals, deadband=1e-12) == 2
+    assert _count_sign_changes(vals, deadband=1e-12) == 2
+    assert _count_sign_changes(-vals, deadband=1e-12) == 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -102,8 +112,8 @@ def test_count_sign_changes_deadband():
        seed=st.integers(min_value=0, max_value=2**31))
 def test_count_sign_changes_scale_invariant(scale, seed):
     vals = np.random.default_rng(seed).standard_normal(64)
-    base = af.count_sign_changes(vals, deadband=0.0)
-    assert af.count_sign_changes(scale * vals, deadband=0.0) == base
+    base = _count_sign_changes(vals, deadband=0.0)
+    assert _count_sign_changes(scale * vals, deadband=0.0) == base
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -134,7 +144,7 @@ def _sampled_count(grid, amplitude, rtol):
                     [amplitude, 0.0], method="DOP853", t_eval=grid.nodes,
                     rtol=rtol, atol=1e-14)
     assert sol.status == 0
-    return af.count_sign_changes(sol.y[0])
+    return _count_sign_changes(sol.y[0])
 
 
 @pytest.mark.parametrize("dim, n, r_max", [(1, 257, 2.0), (2, 257, 10.0),
@@ -148,7 +158,7 @@ def test_stopped_count_decides_like_the_sampled_count(dim, n, r_max):
     for a in np.geomspace(1.2, 1e3, 12):
         want = _line_zeros(r_max, a) if dim == 1 else _sampled_count(g, a, 1e-9)
         for h in hs:
-            got = af.scalar._stopped_count(g, a, h, rtol=1e-9)
+            got = af.scalar._stopped_shot(g, a, h, rtol=1e-9)[0]
             assert min(got, h) == min(want, h), (a, h, got, want)
 
 
@@ -160,8 +170,8 @@ def test_stopped_count_needs_no_shot_below_sqrt2(monkeypatch, grid_n1, a):
 
     with monkeypatch.context() as m:
         m.setattr(af.scalar, "ode", no_shot)
-        assert af.scalar._stopped_count(grid_n1, a, 1, rtol=1e-9) == 0
-    assert af.count_sign_changes(af.shoot(grid_n1, a).trajectory.values) == 0
+        assert af.scalar._stopped_shot(grid_n1, a, 1, rtol=1e-9)[0] == 0
+    assert _count_sign_changes(af.scalar.shoot(grid_n1, a)[1]) == 0
 
 
 def test_stopped_count_raises_on_integrator_failure(monkeypatch, grid_n1):
@@ -172,7 +182,7 @@ def test_stopped_count_raises_on_integrator_failure(monkeypatch, grid_n1):
 
     monkeypatch.setattr(af.scalar, "ode", ShortBudget)
     with pytest.warns(UserWarning), pytest.raises(af.StepFailure):
-        af.scalar._stopped_count(grid_n1, 3.0, 5, rtol=1e-9)
+        af.scalar._stopped_shot(grid_n1, 3.0, 5, rtol=1e-9)
 
 
 def test_nodal_solution_samples_only_its_final_shot(monkeypatch):
@@ -208,7 +218,7 @@ def _bisected_amplitude(grid, h):
     lo = hi = None
     a = 1.2
     while hi is None:
-        if af.scalar._stopped_count(grid, a, h, rtol=1e-9) >= h:
+        if af.scalar._stopped_shot(grid, a, h, rtol=1e-9)[0] >= h:
             hi = a
         else:
             lo = a
@@ -216,7 +226,7 @@ def _bisected_amplitude(grid, h):
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         rtol = 1e-9 if hi - lo > 1e-6 * hi else 1e-11
-        if af.scalar._stopped_count(grid, mid, h, rtol=rtol) >= h:
+        if af.scalar._stopped_shot(grid, mid, h, rtol=rtol)[0] >= h:
             hi = mid
         else:
             lo = mid
@@ -259,12 +269,12 @@ def test_shots_release_their_steps():
     # callback: 20 shots here kept 1.4 MiB when the callback kept its
     # steps, and keep about 40 KiB of scipy's own objects when it does not
     g = af.build_grid(2, 1025, 40.0)
-    af.shoot(g, 3.0)
+    af.scalar.shoot(g, 3.0)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(20):
-            af.shoot(g, 3.0)
+            af.scalar.shoot(g, 3.0)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -312,15 +322,17 @@ def _reference_shot(grid, amplitude):
 def test_shot_samples_match_a_solve_ivp_reference(dim, n, r_max):
     # the Hermite samples of the compiled shot agree with the reference's
     # dense output up to where the reference stops; measured at most
-    # 2.6e-6 of the amplitude (N=1, a=3), 7.3e-7 for a decayed shot
+    # 2.6e-6 of the amplitude (N=1, a=3), 7.3e-7 for a decayed shot.  Both
+    # stop at the decay floor on the critical shot only: it alone ends
+    # under 1e-5, and a = 3 ends 0.78 or more from zero
     g = af.build_grid(dim, n, r_max)
-    decayed = af.find_nodal_solution(g, 1).amplitude
-    for a, behavior in ((decayed, "Decayed"), (3.0, "Oscillating")):
+    critical = af.find_nodal_solution(g, 1).amplitude
+    for a, decays in ((critical, True), (3.0, False)):
         want, stopped = _reference_shot(g, a)
-        shot = af.shoot(g, a)
-        assert stopped == (behavior == "Decayed")
-        assert shot.terminal_behavior == behavior
-        got = shot.trajectory.values[: len(want)]
+        _, w = af.scalar.shoot(g, a)
+        assert stopped == decays
+        assert (abs(w[-1]) < 1e-5) == decays
+        got = w[: len(want)]
         assert np.max(np.abs(got - want)) <= 5e-6 * a
 
 
@@ -344,7 +356,7 @@ def test_two_bumps_on_the_line(grid_n1):
     # domain pins it slightly above
     profile = af.find_nodal_solution(grid_n1, 2)
     assert len(profile.node_radii) == 1
-    assert af.count_sign_changes(profile.solution, deadband=1e-12) == 1
+    assert _count_sign_changes(profile.solution, deadband=1e-12) == 1
     assert 4.0 < profile.c_value < 4.01
 
 

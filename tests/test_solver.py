@@ -31,10 +31,19 @@ def scaling_hessian_top(rec):
     {"beta_schedule": (True,)},
     {"beta_schedule": (True, 10.0)},
     {"beta_schedule": (0.5, True)},
+    # strings ran as their float values
+    {"beta_schedule": ("10", "1e2")},
+    {"beta_schedule": (np.True_,)},
 ])
 def test_solver_config_rejects(kw):
     with pytest.raises(af.ConfigError):
         af.SolverConfig(**kw)
+
+
+def test_solver_config_takes_numpy_numbers():
+    cfg = af.SolverConfig(beta_schedule=(np.float64(1.0), 10, np.int64(100)))
+    assert cfg.beta_schedule == (1.0, 10.0, 100.0)
+    assert all(type(b) is float for b in cfg.beta_schedule)
 
 
 def test_initial_guess_sits_on_reference(guess_h2, profile_h2):
