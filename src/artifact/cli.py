@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import time
@@ -52,8 +53,9 @@ class ExperimentConfig:
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
         for name in ("r_max", "tol_nehari"):
-            if isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be a number, not a boolean")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
         if self.dimension not in (1, 2, 3):

@@ -8,14 +8,45 @@ measure carries a factor 2 for the two half-lines.
 """
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cache
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+import scipy
+from numpy.linalg import LinAlgError
 
 from .errors import ConfigError
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, loaded from its file: importing the
+    ``scipy.linalg`` package costs about 0.2 s, mostly numpy's lazy
+    ``f2py`` and ``testing``, which ``from numpy import *`` loads in
+    ``scipy._lib.array_api_compat.numpy``.  Kept out of ``sys.modules``,
+    the module is imported again by a later ``import scipy.linalg``, whose
+    ``lapack.dgtsv`` and so on are these very objects (CPython caches
+    extensions).  Without the file (a meson editable install), or once the
+    package is imported, the package provides it.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+        if spec is not None:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
+            return module
+    from scipy.linalg import _flapack
+    return _flapack
+
+
+_flapack = _load_flapack()
+dgtsv, dgttrf, dgttrs = _flapack.dgtsv, _flapack.dgttrf, _flapack.dgttrs
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 # a converged residual row keeps roundoff under this multiple of its terms
@@ -129,7 +160,8 @@ def solve_tridiag(lo, di, up, b):
     """Solve the tridiagonal system with bands (lo, di, up) for b, one
     right-hand side or the columns of an (n, k) array.
 
-    Calls LAPACK ``gtsv`` directly.  ``scipy.linalg.solve_banded((1, 1),
+    Calls LAPACK ``gtsv`` directly, through ``scipy.linalg.lapack``'s
+    wrapper (see `_load_flapack`).  ``scipy.linalg.solve_banded((1, 1),
     ...)`` ends in the same call, so the result is identical bit for bit;
     skipped are its (3, n) band copy and argument handling, which cost
     more than the solve itself at the sizes of the partition route's

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from numpy.linalg import LinAlgError
 
 from .assignment import Assignment
 from .errors import (
@@ -41,6 +40,8 @@ from .grid import (
     RadialGrid,
     apply_tridiag,
     converged,
+    dgbtrf,
+    dgbtrs,
     h1_norm_sq,
     newton,
     normal_power,
@@ -234,10 +235,11 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
     an (n, k, 3k + 1) array whose transposed reshape is LAPACK's
     Fortran-ordered band storage, so ``gbtrf`` factors it in place with
     no copy; each solve is one ``gbtrs``, in place on the node-major copy
-    of F.  These are the eliminations of LAPACK ``gbsv``, which
-    ``solve_banded((k, k), ...)`` calls for k >= 2, so solutions equal its
-    bit for bit.  A non-finite band entry, such as the square of a huge U,
-    raises ValueError.
+    of F, through ``scipy.linalg.lapack``'s wrappers (see
+    `grid._load_flapack`).  These are the eliminations of LAPACK ``gbsv``,
+    which ``solve_banded((k, k), ...)`` calls for k >= 2, so solutions
+    equal its bit for bit.  A non-finite band entry, such as the square of
+    a huge U, raises ValueError.
     """
     k, n = U.shape
     sq = U**2

@@ -161,12 +161,20 @@ def test_solve_failed_stage_writes_one_json_line(tmp_path):
     assert blob["message"].startswith("stage beta=1 failed: scaling saddle")
 
 
+def _run_fresh(code):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_only_the_shooting_route_imports_scipy_integrate():
     # in a fresh interpreter, since the test modules import solve_ivp:
     # scipy.integrate pulls in scipy.optimize, special, fft and spatial,
     # about a third of a cold import, and the partition route and the
     # continuation never shoot; the first shot imports it
-    code = textwrap.dedent("""
+    _run_fresh("""
         import sys
         import artifact as af
         import artifact.cli
@@ -179,11 +187,62 @@ def test_only_the_shooting_route_imports_scipy_integrate():
         af.find_nodal_solution(g, 2)
         assert "scipy.integrate" in sys.modules
     """)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+
+
+LAPACK_ROUTINES = ("dgtsv", "dgttrf", "dgttrs", "dgbtrf", "dgbtrs")
+
+
+def test_lapack_comes_without_the_scipy_linalg_package():
+    # importing scipy.linalg runs scipy._lib.array_api_compat.numpy, whose
+    # "from numpy import *" loads numpy.f2py and numpy.testing, about half
+    # of a cold start; the five LAPACK routines are loaded from the
+    # extension's file, and a later import of the package yields the same
+    # function objects
+    _run_fresh(f"""
+        import sys
+        import artifact as af
+        import artifact.cli
+        g = af.build_grid(2, 513, 30.0)
+        profile = af.compute_c_infinity(g, 2)
+        records = af.continuation(profile, af.build_assignment((1, 2)),
+                                  af.SolverConfig((100.0,)))
+        assert len(records) == 1
+        loaded = [m for m in ("scipy.linalg", "scipy.linalg._flapack",
+                              "numpy.f2py", "numpy.testing") if m in sys.modules]
+        assert not loaded, loaded
+        import scipy.linalg
+        import scipy.linalg.lapack
+        assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+        for name in {LAPACK_ROUTINES!r}:
+            assert getattr(af.grid, name) is getattr(scipy.linalg.lapack, name), name
+        assert af.solver.dgbtrf is scipy.linalg.lapack.dgbtrf
+        assert af.solver.dgbtrs is scipy.linalg.lapack.dgbtrs
+        assert af.grid.LinAlgError is scipy.linalg.LinAlgError
+        assert af.solver.LinAlgError is scipy.linalg.LinAlgError
+    """)
+
+
+def test_lapack_falls_back_to_the_package_without_the_file():
+    # an install without the extension's file (a meson editable install)
+    # imports the scipy.linalg package for it
+    _run_fresh(f"""
+        import sys
+        from importlib.machinery import PathFinder
+        find_spec = PathFinder.find_spec
+
+        def no_file(name, path=None, target=None):
+            # the package's own import of the extension still finds it
+            if name == "scipy.linalg._flapack" and "scipy.linalg" not in sys.modules:
+                return None
+            return find_spec(name, path, target)
+
+        PathFinder.find_spec = staticmethod(no_file)
+        import artifact as af
+        assert "scipy.linalg" in sys.modules
+        import scipy.linalg.lapack
+        for name in {LAPACK_ROUTINES!r}:
+            assert getattr(af.grid, name) is getattr(scipy.linalg.lapack, name), name
+    """)
 
 
 def test_solve_two_components(tmp_path, capsys):
@@ -437,11 +496,16 @@ def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
 
 @pytest.mark.parametrize("entry, message",
                          [({"n_points": 8}, "n_points must be at least 16"),
-                          ({"output_dir": 5}, "output_dir must be a string")],
-                         ids=["n_points-range", "output_dir-type"])
+                          ({"output_dir": 5}, "output_dir must be a string"),
+                          ({"r_max": "40"}, "r_max must be a number, got '40'"),
+                          ({"tol_nehari": "1e-8"},
+                           "tol_nehari must be a number, got '1e-8'")],
+                         ids=["n_points-range", "output_dir-type", "r_max-type",
+                              "tol_nehari-type"])
 def test_config_checks_keep_their_own_message(tmp_path, capsys, entry, message):
     # these were reported as "config value of the wrong type: ..." because
-    # ConfigError is a ValueError
+    # ConfigError is a ValueError; the strings as "'<' not supported
+    # between instances of 'int' and 'str'", from the range check
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(cli.ExperimentConfig().to_dict(), **entry)))
     rc, out, err = run_cli(["scalar", "--config", str(path)], capsys)
