@@ -1,8 +1,14 @@
 """Command line front end.
 
-Subcommands: scalar (segregated profile only), solve (one coupling),
-sweep (full schedule), report (re-derive diagnostics from a run dir).
+Subcommands, each with the files it writes in its run directory
+<out>/<label> (<out>/<kind>-<timestamp> without a label): scalar, the
+segregated profile (config.json, profile.json, profile.csv); solve, one
+coupling (those, pulses_beta<tag>.csv, record_beta<tag>.json); sweep, the
+full schedule (those for each converged stage, sweep.csv, failures.log if
+a stage failed); report, diagnostics re-derived from a run dir (none).
 Exit codes: 0 success, 2 configuration problem, 3 solver failure.
+A stage's U is PulseEnsemble(grid, build_assignment(sigma), pulses)
+.components(lambda_bar), bit for bit: "%.17g" and JSON floats read back.
 """
 from __future__ import annotations
 
@@ -160,6 +166,12 @@ def build_cli_config(args) -> ExperimentConfig:
 
 
 def make_run_dir(config: ExperimentConfig, kind: str, label=None) -> str:
+    # a label with a separator, or "." or "..", would put the run
+    # elsewhere than one new directory of output_dir
+    if label and (label in (".", "..") or os.sep in label
+                  or (os.altsep and os.altsep in label)):
+        raise ConfigError(f"label {label!r} must name one directory, "
+                          "without a path separator and not . or ..")
     stem = label if label else f"{kind}-{time.strftime('%Y%m%d-%H%M%S')}"
     path = os.path.join(config.output_dir, stem)
     suffix = 1
@@ -243,20 +255,13 @@ def compute_profile(config: ExperimentConfig) -> NodalProfile:
 
 def write_stage(run_dir: str, config: ExperimentConfig, profile: NodalProfile,
                 record) -> None:
-    """Write a stage's fields, pulses and record with its diagnostics.
+    """Write a stage's pulses and its record with its diagnostics.
     `config` is not read; it stays in the signature that
     `perfbench/workloads.py` calls."""
     tag = _beta_tag(record.beta)
-    grid = record.ensemble.grid
-    U = record.ensemble.components(record.lambda_bar)
-    _write_columns(
-        os.path.join(run_dir, f"solution_beta{tag}.csv"),
-        grid.nodes,
-        {f"U_{i + 1}": U[i] for i in range(U.shape[0])},
-    )
     _write_columns(
         os.path.join(run_dir, f"pulses_beta{tag}.csv"),
-        grid.nodes,
+        record.ensemble.grid.nodes,
         {f"p_{q + 1}": p for q, p in enumerate(record.ensemble.pulses)},
     )
     payload = {"record": record.to_dict(),

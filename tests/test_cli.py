@@ -1,5 +1,6 @@
 """Command line driver: config plumbing, run directories, output files,
 error codes, and reproducibility."""
+import glob
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import artifact as af
 from artifact import cli
 
 
@@ -100,8 +102,11 @@ def test_solve_uncoupled_reproduces_reference(tmp_path, capsys):
     )
     assert stdout_value(out, "in_nehari") == "True"
     assert stdout_value(out, "accepted") == "True"
-    for name in ("solution_beta0.csv", "pulses_beta0.csv", "record_beta0.json"):
-        assert os.path.isfile(os.path.join(run_dir, name))
+    # a stage is its pulses and its record; its components are not written
+    assert sorted(os.listdir(run_dir)) == [
+        "config.json", "profile.csv", "profile.json",
+        "pulses_beta0.csv", "record_beta0.json",
+    ]
     payload = json.loads(open(os.path.join(run_dir, "record_beta0.json")).read())
     assert payload["record"]["beta"] == 0.0
     assert payload["diagnostics"]["membership"]["in_N_beta"] is True
@@ -258,8 +263,7 @@ def test_solve_two_components(tmp_path, capsys):
     assert float(stdout_value(out, "energy")) < meta["c_infinity"]
     header = open(os.path.join(run_dir, "pulses_beta100.csv")).readline().strip()
     assert header == "r,p_1,p_2"
-    header = open(os.path.join(run_dir, "solution_beta100.csv")).readline().strip()
-    assert header == "r,U_1,U_2"
+    assert glob.glob(os.path.join(run_dir, "solution_beta*")) == []
 
 
 @pytest.fixture(scope="module")
@@ -282,22 +286,37 @@ def test_sweep_outputs(sweep_pair, capsys):
     run_dir = sweep_pair[0]
     assert os.path.isfile(os.path.join(run_dir, "sweep.csv"))
     for tag in ("1", "10", "100"):
-        for stem in ("solution_beta", "pulses_beta", "record_beta"):
+        for stem in ("pulses_beta", "record_beta"):
             ext = ".json" if stem == "record_beta" else ".csv"
             assert os.path.isfile(os.path.join(run_dir, f"{stem}{tag}{ext}"))
+    assert glob.glob(os.path.join(run_dir, "solution_beta*")) == []
     lines = open(os.path.join(run_dir, "sweep.csv")).read().strip().split("\n")
     assert len(lines) == 4
     assert lines[0].startswith("beta,energy,residual,d_to_K")
 
 
 def test_sweep_runs_are_identical(sweep_pair):
-    a = open(os.path.join(sweep_pair[0], "sweep.csv"), "rb").read()
-    b = open(os.path.join(sweep_pair[1], "sweep.csv"), "rb").read()
-    assert a == b
-    for tag in ("1", "10", "100"):
-        pa = open(os.path.join(sweep_pair[0], f"pulses_beta{tag}.csv"), "rb").read()
-        pb = open(os.path.join(sweep_pair[1], f"pulses_beta{tag}.csv"), "rb").read()
-        assert pa == pb
+    # the same files with the same bytes, config.json included: the label
+    # is the directory's name and is not stored
+    names = sorted(os.listdir(sweep_pair[0]))
+    assert sorted(os.listdir(sweep_pair[1])) == names
+    assert "sweep.csv" in names and "record_beta100.json" in names
+    for name in names:
+        a, b = (open(os.path.join(run, name), "rb").read() for run in sweep_pair)
+        assert a == b, name
+
+
+def test_stage_components_rebuild_from_pulses_and_record(
+        tmp_path, profile_h2, assignment_h2):
+    [record] = af.continuation(profile_h2, assignment_h2,
+                               af.SolverConfig(beta_schedule=(10.0,)))
+    cli.write_stage(str(tmp_path), cli.ExperimentConfig(), profile_h2, record)
+    pulses = cli._read_columns(str(tmp_path / "pulses_beta10.csv"),
+                               assignment_h2.h)
+    blob = json.loads((tmp_path / "record_beta10.json").read_text())
+    ensemble = af.PulseEnsemble(profile_h2.grid, assignment_h2, pulses)
+    U = ensemble.components(np.array(blob["record"]["lambda_bar"]))
+    assert np.array_equal(U, record.ensemble.components(record.lambda_bar))
 
 
 def test_report_recomputes_diagnostics(sweep_pair, capsys):
@@ -549,6 +568,29 @@ def test_run_dir_never_clobbers(tmp_path):
     second = cli.make_run_dir(cfg, "solve", label="same")
     assert first != second
     assert os.path.isdir(first) and os.path.isdir(second)
+
+
+def test_an_empty_label_means_a_timestamp(tmp_path):
+    cfg = cli.ExperimentConfig(output_dir=str(tmp_path))
+    path = cli.make_run_dir(cfg, "sweep", label="")
+    assert os.path.dirname(path) == str(tmp_path)
+    assert os.path.basename(path).startswith("sweep-")
+
+
+@pytest.mark.parametrize("label", ["../x", "absolute", "a/b", ".", ".."])
+def test_a_label_names_one_directory_of_out(tmp_path, capsys, label):
+    # "../x" and an absolute label would put the run outside --out, and
+    # "a/b" a level below it
+    if label == "absolute":
+        label = str(tmp_path / "x")
+    rc, _, err = run_cli(["scalar", "--dim", "1", "--n-points", "513",
+                          "--r-max", "16", "--h", "1", "--sigma", "1",
+                          "--out", str(tmp_path / "out"), "--label", label],
+                         capsys)
+    assert rc == 2 and len(err.splitlines()) == 1
+    blob = json.loads(err)
+    assert blob["error"] == "config" and repr(label) in blob["message"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("out", ["", "taken"], ids=["empty", "a-file"])
