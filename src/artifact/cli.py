@@ -13,13 +13,15 @@ A stage's U is PulseEnsemble(grid, build_assignment(sigma), pulses)
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import numbers
 import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .diagnostics import build_report, write_sweep_csv
 from .errors import ConfigError, SolveError, StageFailure
 from .grid import build_grid
 from .nehari import PulseEnsemble, maximize_phi
-from .scalar import NodalProfile, bump_constants, compute_c_infinity
+from .scalar import NEHARI_TOL, NodalProfile, bump_constants, compute_c_infinity
 from .solver import (
     SolverConfig,
     continuation,
@@ -50,18 +52,18 @@ class ExperimentConfig:
     r_max: float = 40.0
     h: int = 5
     sigma: tuple = (1, 2, 1, 3, 2)
-    beta_schedule: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
-    tol_nehari: float = 1e-8
+    beta_schedule: tuple = SolverConfig.beta_schedule
     output_dir: str = "runs"
+    # not a field, so no config sets it: the benchmark passes it to
+    # compute_c_infinity, and it goes with that keyword (ROADMAP item 2)
+    tol_nehari: ClassVar[float] = NEHARI_TOL
 
     def __post_init__(self) -> None:
         for name in ("dimension", "n_points", "h"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
-        for name in ("r_max", "tol_nehari"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.r_max, numbers.Real) or isinstance(self.r_max, bool):
+            raise ConfigError(f"r_max must be a number, got {self.r_max!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
         if self.dimension not in (1, 2, 3):
@@ -77,8 +79,6 @@ class ExperimentConfig:
         self.sigma = tuple(self.sigma)
         # SolverConfig checks the schedule
         self.beta_schedule = self.solver_config().beta_schedule
-        if not 0 < self.tol_nehari < np.inf:
-            raise ConfigError("tol_nehari must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -89,27 +89,10 @@ class ExperimentConfig:
 
 # keys of older run directories that no run reads any more: the descent's
 # stopping tolerance, the trust distance epsilon, the seed of the random
-# stationarity probes of `report`, and the coupled Newton tolerance, now
-# the constant solver.NEWTON_TOL
-LEGACY_KEYS = ("outer_tol", "epsilon", "seed", "newton_tol")
-
-
-def config_from_dict(data: dict) -> ExperimentConfig:
-    kwargs = {k: v for k, v in data.items() if k not in LEGACY_KEYS}
-    known = {f.name for f in fields(ExperimentConfig)}
-    bad = set(kwargs) - known
-    if bad:
-        raise ConfigError(f"unknown config keys: {sorted(bad)}")
-    try:
-        for key in ("sigma", "beta_schedule"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        # ExperimentConfig's own checks name what is wrong
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config value of the wrong type: {exc}") from exc
+# stationarity probes of `report`, the coupled Newton tolerance, now the
+# constant solver.NEWTON_TOL, and the bump constraint tolerance, now the
+# constant scalar.NEHARI_TOL
+LEGACY_KEYS = ("outer_tol", "epsilon", "seed", "newton_tol", "tol_nehari")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -120,7 +103,17 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    return config_from_dict(data)
+    kwargs = {k: v for k, v in data.items() if k not in LEGACY_KEYS}
+    bad = set(kwargs) - {f.name for f in fields(ExperimentConfig)}
+    if bad:
+        raise ConfigError(f"unknown config keys: {sorted(bad)}")
+    try:
+        return ExperimentConfig(**kwargs)
+    except ConfigError:
+        # ExperimentConfig's own checks name what is wrong
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config value of the wrong type: {exc}") from exc
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
@@ -129,40 +122,31 @@ def save_config(config: ExperimentConfig, path: str) -> None:
         f.write("\n")
 
 
-def _parse_int_list(text: str) -> tuple:
+def _parse_list(text: str, kind: type, what: str) -> tuple:
+    """The comma separated values of ``text`` as ``kind``; ``what`` names
+    them in the error."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"expected comma separated integers, got {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected comma separated numbers, got {text!r}") from exc
+        raise ConfigError(f"expected comma separated {what}, got {text!r}") from exc
 
 
 def build_cli_config(args) -> ExperimentConfig:
-    data = {}
-    if args.config:
-        data = load_config(args.config).to_dict()
-    overrides = {
+    """The --config file, or the defaults, with the given flags replacing
+    their fields; ExperimentConfig checks the result."""
+    given = {
         "dimension": args.dim,
         "n_points": args.n_points,
         "r_max": args.r_max,
         "h": args.h,
-        "tol_nehari": args.tol_nehari,
         "output_dir": args.out,
     }
     if args.sigma is not None:
-        overrides["sigma"] = _parse_int_list(args.sigma)
+        given["sigma"] = _parse_list(args.sigma, int, "integers")
     if getattr(args, "beta_schedule", None) is not None:
-        overrides["beta_schedule"] = _parse_float_list(args.beta_schedule)
-    base = ExperimentConfig().to_dict()
-    base.update(data)
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    return config_from_dict(base)
+        given["beta_schedule"] = _parse_list(args.beta_schedule, float, "numbers")
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    return replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
 def make_run_dir(config: ExperimentConfig, kind: str, label=None) -> str:
@@ -174,17 +158,18 @@ def make_run_dir(config: ExperimentConfig, kind: str, label=None) -> str:
                           "without a path separator and not . or ..")
     stem = label if label else f"{kind}-{time.strftime('%Y%m%d-%H%M%S')}"
     path = os.path.join(config.output_dir, stem)
-    suffix = 1
     try:
         os.makedirs(config.output_dir, exist_ok=True)
-        while os.path.exists(path):
-            suffix += 1
-            path = os.path.join(config.output_dir, f"{stem}-{suffix}")
-        os.makedirs(path)
+        # no probe before mkdir: another run may take a name between them
+        for suffix in itertools.count(2):
+            try:
+                os.mkdir(path)
+                return path
+            except FileExistsError:
+                path = os.path.join(config.output_dir, f"{stem}-{suffix}")
     except OSError as exc:
         raise ConfigError(f"cannot make a run directory in {config.output_dir!r}: "
                           f"{exc}") from exc
-    return path
 
 
 def _write_columns(path: str, r: np.ndarray, cols: dict) -> None:
@@ -250,7 +235,7 @@ def write_profile(run_dir: str, profile: NodalProfile) -> None:
 
 def compute_profile(config: ExperimentConfig) -> NodalProfile:
     grid = build_grid(config.dimension, config.n_points, config.r_max)
-    return compute_c_infinity(grid, config.h, tol_nehari=config.tol_nehari)
+    return compute_c_infinity(grid, config.h)
 
 
 def write_stage(run_dir: str, config: ExperimentConfig, profile: NodalProfile,
@@ -449,7 +434,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--r-max", type=float, dest="r_max")
     parser.add_argument("--h", type=int, help="number of pulses")
     parser.add_argument("--sigma", help="component assignment, e.g. 1,2,1,3,2")
-    parser.add_argument("--tol-nehari", type=float, dest="tol_nehari")
     parser.add_argument("--out", help="output directory root")
     parser.add_argument("--label", help="run directory name instead of timestamp")
 

@@ -94,14 +94,7 @@ def build_grid(dimension: int, n_points: int = 4096, r_max: float = 40.0) -> Rad
     w = sN * r ** (dimension - 1) * dr
     w[0] *= 0.5
     w[-1] *= 0.5
-    if dimension == 1:
-        g = np.ones(n - 1)
-    elif dimension == 2:
-        # harmonic mean of r on each edge; zero on the axis edge
-        g = np.zeros(n - 1)
-        g[1:] = 2.0 * r[1:-1] * r[2:] / (r[1:-1] + r[2:])
-    else:
-        g = r[:-1] * r[1:]
+    g = conductance(dimension, r[:-1], r[1:])
     lo, di, up = _operator_bands(dimension, r, dr, g)
     return RadialGrid(
         dimension=dimension,
@@ -115,6 +108,17 @@ def build_grid(dimension: int, n_points: int = 4096, r_max: float = 40.0) -> Rad
         op_diag=di,
         op_upper=up,
     )
+
+
+def conductance(dimension: int, ra, rb):
+    """Conductance of the edge (ra, rb) in the flux form of the radial
+    Laplacian: 1 on the line, the harmonic mean of r in the plane (zero
+    on the axis edge), the product in space."""
+    if dimension == 1:
+        return np.ones(np.shape(ra))
+    if dimension == 2:
+        return 2.0 * ra * rb / (ra + rb)
+    return ra * rb
 
 
 def _operator_bands(dimension, r, dr, g):

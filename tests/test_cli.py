@@ -470,12 +470,14 @@ def test_unknown_config_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("outer_tol", 1e-7), ("epsilon", 0.5),
-                                        ("seed", 7), ("newton_tol", 1e-9)],
-                         ids=["outer_tol", "epsilon", "seed", "newton_tol"])
+                                        ("seed", 7), ("newton_tol", 1e-9),
+                                        ("tol_nehari", 1e-8)],
+                         ids=["outer_tol", "epsilon", "seed", "newton_tol",
+                              "tol_nehari"])
 def test_legacy_outer_tol_key_is_dropped(tmp_path, key, value):
     # config.json of older runs carries the descent's outer_tol, the trust
-    # distance epsilon, the probe seed of report and the coupled Newton
-    # tolerance; none is read any more
+    # distance epsilon, the probe seed of report, the coupled Newton
+    # tolerance and the bump constraint tolerance; none is read any more
     cfg = cli.ExperimentConfig(output_dir=str(tmp_path))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(cfg.to_dict(), **{key: value})))
@@ -490,9 +492,9 @@ def test_legacy_outer_tol_key_is_dropped(tmp_path, key, value):
                                    {"n_points": "4097"}, {"n_points": 257.5},
                                    {"h": 2.5}, {"beta_schedule": ["x"]},
                                    {"r_max": float("nan")}, {"r_max": float("inf")},
-                                   {"tol_nehari": float("nan")}, {"dimension": True},
+                                   {"n_points": True}, {"dimension": True},
                                    {"h": 2, "sigma": [True, 2]}, {"r_max": True},
-                                   {"tol_nehari": True},
+                                   {"h": True},
                                    {"beta_schedule": [True, 10.0]},
                                    {"beta_schedule": [0.5, True]},
                                    {"beta_schedule": ["10", "1e2"]}])
@@ -500,7 +502,7 @@ def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
     # sigma [1, 2.5, 1] and n_points 257.5 used to run silently as
     # (1, 2, 1) and 257; the others escaped main as a bare ValueError or
     # TypeError, h = 2.5 only once the profile was computed.  JSON true
-    # ran as 1 (r_max and tol_nehari were written back as true), and
+    # ran as 1 (r_max was written back as true), and
     # r_max NaN was caught only after the run directory was made; the
     # strings "10", "1e2" ran as the schedule (10.0, 100.0)
     path = tmp_path / "config.json"
@@ -516,11 +518,8 @@ def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
 @pytest.mark.parametrize("entry, message",
                          [({"n_points": 8}, "n_points must be at least 16"),
                           ({"output_dir": 5}, "output_dir must be a string"),
-                          ({"r_max": "40"}, "r_max must be a number, got '40'"),
-                          ({"tol_nehari": "1e-8"},
-                           "tol_nehari must be a number, got '1e-8'")],
-                         ids=["n_points-range", "output_dir-type", "r_max-type",
-                              "tol_nehari-type"])
+                          ({"r_max": "40"}, "r_max must be a number, got '40'")],
+                         ids=["n_points-range", "output_dir-type", "r_max-type"])
 def test_config_checks_keep_their_own_message(tmp_path, capsys, entry, message):
     # these were reported as "config value of the wrong type: ..." because
     # ConfigError is a ValueError; the strings as "'<' not supported
@@ -570,6 +569,23 @@ def test_run_dir_never_clobbers(tmp_path):
     assert os.path.isdir(first) and os.path.isdir(second)
 
 
+def test_a_run_dir_taken_before_mkdir_gets_the_next_suffix(tmp_path, monkeypatch):
+    # another run that takes the label after a probe for it, just before
+    # this run's mkdir, made this run exit 2 with "[Errno 17] File exists"
+    cfg = cli.ExperimentConfig(output_dir=str(tmp_path))
+    taken = str(tmp_path / "same")
+    mkdir = os.mkdir
+
+    def racing_mkdir(path, *args, **kwargs):
+        if os.fspath(path) == taken and not os.path.isdir(taken):
+            mkdir(taken)  # the other run
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", racing_mkdir)
+    assert cli.make_run_dir(cfg, "solve", label="same") == taken + "-2"
+    assert sorted(os.listdir(tmp_path)) == ["same", "same-2"]
+
+
 def test_an_empty_label_means_a_timestamp(tmp_path):
     cfg = cli.ExperimentConfig(output_dir=str(tmp_path))
     path = cli.make_run_dir(cfg, "sweep", label="")
@@ -612,9 +628,9 @@ def test_unusable_out_is_a_config_error(tmp_path, monkeypatch, capsys, out):
 @pytest.mark.parametrize("text", ["1,a,2", "", "1;2"])
 def test_list_parsing_rejects(text):
     with pytest.raises(cli.ConfigError):
-        cli._parse_int_list(text)
+        cli._parse_list(text, int, "integers")
 
 
 def test_list_parsing_accepts():
-    assert cli._parse_int_list("1,2,1") == (1, 2, 1)
-    assert cli._parse_float_list("1,10,1e2") == (1.0, 10.0, 100.0)
+    assert cli._parse_list("1,2,1", int, "integers") == (1, 2, 1)
+    assert cli._parse_list("1,10,1e2", float, "numbers") == (1.0, 10.0, 100.0)
