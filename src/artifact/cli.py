@@ -397,8 +397,8 @@ def cmd_report(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot read {jpath}: {exc}") from exc
     assignment = build_assignment(config.sigma)
-    reports = {}
-    for name in sorted(os.listdir(run_dir)):
+    stages = []
+    for name in os.listdir(run_dir):
         if not (name.startswith("pulses_beta") and name.endswith(".csv")):
             continue
         path = os.path.join(run_dir, name)
@@ -410,6 +410,10 @@ def cmd_report(args) -> int:
         # the rule of solve --beta
         if not 0 <= beta < np.inf:
             raise ConfigError(f"{path} names no coupling")
+        stages.append((beta, tag, path))
+    reports = {}
+    # in the order of the couplings, as sweep.csv lists them
+    for beta, tag, path in sorted(stages):
         pulses = _read_columns(path, assignment.h)
         ensemble = PulseEnsemble(grid, assignment, pulses)
         rep = maximize_phi(beta, ensemble)

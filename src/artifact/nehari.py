@@ -8,7 +8,7 @@ lambda_bar = 1 signals a constrained critical point.
 
 The scaling energy is a quartic polynomial in the scalings whose
 coefficients are pulse integrals; the maximizer iterates on that form,
-while `phi`, `j_beta` and the reported maximum are evaluated on the grid.
+while `phi` and the reported maximum are evaluated on the grid.
 
 Scaling vectors are indexed by bump order l = 1..h.
 """
@@ -96,14 +96,10 @@ def coupled_energy(grid: RadialGrid, beta: float, U: np.ndarray) -> float:
     return float(val)
 
 
-def j_beta(beta: float, ensemble: PulseEnsemble, lam=None) -> float:
-    return coupled_energy(ensemble.grid, beta, ensemble.components(lam))
-
-
 def phi(beta: float, ensemble: PulseEnsemble, lam) -> float:
     """The scaling energy: coupled energy of the lambda-scaled ensemble."""
     lam = np.asarray(lam, dtype=float)
-    return j_beta(beta, ensemble, lam)
+    return coupled_energy(ensemble.grid, beta, ensemble.components(lam))
 
 
 def _tensors(beta, ensemble):

@@ -13,9 +13,10 @@ Two independent routes to the same object:
 * ``compute_c_infinity``: direct minimization of the summed bump energies
   over the interface radii (seeded by the least-energy chain of cells
   whose edges lie on a coarse radius set of a grid of at most SEED_NODES
-  nodes, found by branch and bound, then Newton on the grid, on the exact
-  first and second radius derivatives of the cell energies in the
-  continuous radii).
+  nodes, found by branch and bound, then Newton on the grid for the
+  radii where the energy's gradient vanishes, on the exact first and
+  second radius derivatives of the cell energies in the continuous
+  radii).
 
 Both end in one finisher, ``_split_profile``: each bump is polished on the
 grid nodes between the interfaces nearest the radii, from the polished
@@ -26,8 +27,9 @@ discretization.
 
 One annulus solver, ``_annulus_cont``, serves every cell of the seed and
 the radius Newton.  One damped Newton, ``grid.newton``, polishes every
-boundary value problem; ``_newton`` applies it to a window of nodes with
-zero values outside: the global field, each bump and each cell.
+boundary value problem and finds the stationary radii; ``_newton`` applies
+it to a window of nodes with zero values outside: the global field, each
+bump and each cell.
 """
 from __future__ import annotations
 
@@ -406,7 +408,9 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
     followed by a Newton polish; a warm one (``u_init`` given) tries the
     polish first.  The descent's preconditioner, the cell's -Lap+1, is
     LU-factored once per cell and reused by every step; the Newton polish,
-    whose matrix changes each step, and the Hessian solve afresh.
+    whose matrix changes each step, and the Hessian solve afresh.  A cell
+    whose polish has not converged after 60 chunks raises
+    NewtonDivergence.
     """
     n = grid.n_points
     r, dr = grid.nodes, grid.dr
@@ -577,7 +581,8 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
         u2, J2 = polished(u, Jp)
         chunks += 1
     if u2 is None:
-        u2, J2 = u, 0.25 * np.dot(wq, u**4)
+        # the radius derivatives hold only at a critical point
+        raise NewtonDivergence(f"cell ({a:.6g}, {b:.6g}) polish never converged")
     out[jfirst : jlast + 1] = u2
     return out, float(J2), derivatives(u2)
 
@@ -587,6 +592,7 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
 
 SEED_NODES = 1025  # the partition seed's grid has at most this many nodes
 STATIONARY_SLOPE = 1e-6  # the largest |dE/drho| dr the radius Newton may leave
+STATIONARY_TOL = 1e-9  # the |dE/drho| dr under which the radius Newton stops
 SEED_SLACK = 1e-12  # relative roundoff by which a cell's energy may undercut its bound
 
 
@@ -658,91 +664,85 @@ def _partition_seed(grid: RadialGrid, h: int):
 def _stationary_radii(grid: RadialGrid, rho):
     """Newton on dE/drho_i = dJ_{i-1}/db + dJ_i/da over the interior radii.
 
-    One pass over the h cells gives E, its gradient and its Hessian, since
-    every cell solve returns its first and second radius derivatives (see
-    ``_annulus_cont``).  A cell couples only its two radii, so the Hessian
-    is tridiagonal and exact.  A step halves until E does not rise.  A
-    step that moves no radius more than 1e-3 dr is taken in full and
-    untested, since it changes E by less than the cells' roundoff (9e-10
-    of 1507 on (3, 5, 8193, 20)); then the radii and the fields of the
-    cell solves at them are returned.  A longer step that the energy test
-    damps to that length does not stop the iteration: the test sits at
-    roundoff there, and on (3, 5, 8193, 20) such steps crawled for 6
-    passes at |dE/drho| dr = 1.4e-8 to 2.2e-8.  Converged profiles end at
-    |dE/drho| dr <= 8.3e-12 on 12 cases (N = 1..3, h = 2..7); an exit
-    above STATIONARY_SLOPE (an under-resolved grid stopped at 8.4)
-    raises NewtonDivergence.
+    The unknowns are the h - 1 interior radii and the residual their
+    gradient g, from one pass over the h cells: every cell solve returns
+    its first and second radius derivatives (see ``_annulus_cont``).  A
+    cell couples only its two radii, so the Hessian is tridiagonal and
+    exact.  ``grid.newton`` damps the steps on |g| and stops under
+    |g| dr < STATIONARY_TOL; radii that do not increase, or a cell with
+    fewer than 8 nodes, give an infinite gradient, so such a trial is
+    rejected.  It factors the Hessian once per step, at the accepted
+    point, whose pass is the latest one; that pass also warm-starts the
+    step's trials.  Returns the radii and the fields of the cell solves at
+    them: after an exit on a rejected trial, those of the step's start.
+    Converged profiles end at |dE/drho| dr <= 6.5e-10 on 16 cases
+    (N = 1..3, h = 2..8); an exit above STATIONARY_SLOPE (an
+    under-resolved grid stopped at 8.4) raises NewtonDivergence.
     """
     h = len(rho) - 1
-    dr, r = grid.dr, grid.nodes
-    warm = [None] * h
+    r = grid.nodes
+    base = last = None  # (radii, cell solves) of the step's start, of the latest pass
 
     def cell(l, x):
-        # the warm field is stretched onto the new cell, so a bump keeps
+        # the base field is stretched onto the new cell, so a bump keeps
         # its place relative to the edges (on the line it would drift back
         # to the centre only at a rate of about e^{-distance})
         u = None
-        if warm[l] is not None:
-            a, b = rho[l], rho[l + 1]
-            s = a + (r - x[l]) * (b - a) / (x[l + 1] - x[l])
-            u = np.interp(s, r, warm[l])
+        if base is not None:
+            (a, b), warm = base[0][l : l + 2], base[1][l][0]
+            u = np.interp(a + (r - x[l]) * (b - a) / (x[l + 1] - x[l]), r, warm)
         return _annulus_cont(grid, x[l], x[l + 1], u_init=u)
 
-    def cells(x):
+    def gradient(y):
+        nonlocal last
+        x = np.concatenate((rho[:1], y, rho[-1:]))
+        if not np.all(np.diff(x) > 0):
+            return np.full(h - 1, np.inf)
         sols = [cell(l, x) for l in range(h)]
-        return sols, sum(J for _, J, _ in sols)
-
-    sols, E = cells(rho)
-    for _ in range(40):
-        warm = [u for u, _, _ in sols]
+        if any(u is None for u, _, _ in sols):
+            return np.full(h - 1, np.inf)
+        last = x, sols
         # per cell: dE/da, dE/db, d2E/da2, d2E/da db, d2E/db2
         D = np.array([dJ for _, _, dJ in sols])
-        g = D[:-1, 1] + D[1:, 0]
+        return D[:-1, 1] + D[1:, 0]
+
+    def hessian(y):
+        nonlocal base
+        base = last
+        D = np.array([dJ for _, _, dJ in base[1]])
         H = np.diag(D[:-1, 4] + D[1:, 2])
         H += np.diag(D[1:-1, 3], 1) + np.diag(D[1:-1, 3], -1)
-        d = -np.linalg.solve(H, g)
-        if np.dot(d, g) >= 0:
-            d = -g / np.abs(np.diag(H))
-        short = np.max(np.abs(d)) <= 1e-3 * dr
-        t = 1.0
-        while t > 1e-4:
-            x = rho.copy()
-            x[1:-1] += t * d
-            if np.all(np.diff(x) > 0):
-                trial, Et = cells(x)
-                # a short step changes E by less than the cells' roundoff
-                if short or Et <= E + 1e-13 * abs(E):
-                    break
-            t *= 0.5
-        else:
-            break
-        rho, sols, E = x, trial, Et
-        if short:
-            break
-    D = np.array([dJ for _, _, dJ in sols])
-    slope = float(np.max(np.abs(D[:-1, 1] + D[1:, 0]))) * dr
+        # dense: LAPACK's tridiagonal wrapper takes no 1 x 1 system (h = 2)
+        return lambda g: np.linalg.solve(H, g)
+
+    # a zero row bound: the stop is |g| < tol alone, with no roundoff rule
+    y, slope, _, _ = newton(gradient, hessian, rho[1:-1].copy(),
+                            STATIONARY_TOL / grid.dr, 40, lambda y: (0.0, None))
+    x, sols = last if np.array_equal(last[0][1:-1], y) else base
+    slope *= grid.dr
     if slope > STATIONARY_SLOPE:
         raise NewtonDivergence(
             f"interface radii not stationary: |dE/drho| dr = {slope:.2e}")
-    return rho, [u for u, _, _ in sols]
+    return x, [u for u, _, _ in sols]
 
 
 def compute_c_infinity(grid: RadialGrid, h: int,
                        tol_nehari: float = NEHARI_TOL) -> NodalProfile:
     """Partition route: minimize the summed bump energies over the radii.
 
-    Newton in the continuous interface radii (``_stationary_radii``, on
-    the exact tridiagonal Hessian of the summed cell energies) from the
-    seed radii (``_partition_seed``, a branch and bound over chains of
-    node-aligned cells), which are the same on every grid finer than
-    SEED_NODES nodes.  At the minimum dE/drho_i = 0 at every interface,
-    the discrete form of the equal-flux (C^1) matching of the nodal
-    solution.  The final bumps are polished from the fields of the last
-    cell solves (for h = 1, one cold solve of the ball) on the nodes
-    between the nodes nearest the radii: there they solve the grid
-    problem, so they satisfy the constraint under the global quadrature,
-    which off-node radii would not (their cut-cell terms are absent from
-    the grid).  ``tol_nehari`` stays only while the benchmark passes it; it
+    ``grid.newton`` on the gradient of the summed cell energies in the
+    continuous interface radii (``_stationary_radii``, on its exact
+    tridiagonal Hessian) from the seed radii (``_partition_seed``, a
+    branch and bound over chains of node-aligned cells), which are the
+    same on every grid finer than SEED_NODES nodes.  At the minimum
+    dE/drho_i = 0 at every interface, the discrete form of the equal-flux
+    (C^1) matching of the nodal solution; the Newton stops at
+    |dE/drho| dr < STATIONARY_TOL.  The final bumps are polished from the
+    fields of the last cell solves (for h = 1, one cold solve of the ball)
+    on the nodes between the nodes nearest the radii: there they solve the
+    grid problem, so they satisfy the constraint under the global
+    quadrature, which off-node radii would not (their cut-cell terms are
+    absent from the grid).  ``tol_nehari`` stays only while the benchmark passes it; it
     goes with ROADMAP item 2.
     """
     if h < 1:

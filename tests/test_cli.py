@@ -350,6 +350,22 @@ def test_report_is_deterministic(sweep_pair, tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_report_lists_stages_by_coupling(tmp_path, capsys):
+    # in the order of sweep.csv, not of the file names (10, 100, 2)
+    rc, _, _ = run_cli([
+        "sweep", "--dim", "2", "--n-points", "513", "--r-max", "30",
+        "--h", "2", "--sigma", "1,2", "--beta-schedule", "2,10,100",
+        "--out", str(tmp_path), "--label", "run",
+    ], capsys)
+    assert rc == 0
+    run = tmp_path / "run"
+    rows = (run / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2", "10", "100"]
+    rc, out, _ = run_cli(["report", "--run", str(run)], capsys)
+    assert rc == 0
+    assert list(json.loads(out)) == ["2", "10", "100"]
+
+
 def test_report_missing_run(tmp_path, capsys):
     rc, out, err = run_cli(["report", "--run", str(tmp_path / "absent")], capsys)
     assert rc == 2

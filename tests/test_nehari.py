@@ -99,12 +99,12 @@ def test_disjoint_pulses_closed_form(guess_h2):
 
 
 def test_j_beta_is_phi_at_ones(small_grid):
+    # J_beta, the coupled energy of the pulses, is phi at lambda = 1 exactly
     P = gaussian_pulses(small_grid, [4.0, 8.0, 12.0], [1.2, 0.9, 1.4], [1.0, 1.5, 0.7])
     ens = ensemble_on(small_grid, (1, 2, 1), P)
     for beta in (0.0, 1.0, 50.0):
-        assert af.j_beta(beta, ens) == pytest.approx(
-            af.phi(beta, ens, np.ones(3)), rel=1e-15
-        )
+        assert af.phi(beta, ens, np.ones(3)) == af.coupled_energy(
+            small_grid, beta, ens.components())
 
 
 def _phi_tensors(ens, beta):

@@ -790,9 +790,9 @@ def test_partition_radii_are_stationary_within_a_solve_budget(
         monkeypatch, dim, h, n, r_max):
     # at the returned radii the energy's derivative in every interface
     # radius vanishes: the discrete equal-flux condition.  Measured
-    # |dE/drho| dr <= 3.5e-12; moving one radius by 1e-3 dr gives 3e-6
-    # or more.  A stop on a short damped step leaves 1.9e-8 on the last
-    # case
+    # |dE/drho| dr <= 4.2e-10, under the radius Newton's stop at
+    # STATIONARY_TOL = 1e-9; moving one radius by 1e-3 dr gives 3e-6 or
+    # more
     g = af.build_grid(dim, n, r_max)
     solve = af.scalar._annulus_cont
     calls = []
@@ -803,7 +803,7 @@ def test_partition_radii_are_stationary_within_a_solve_budget(
 
     monkeypatch.setattr(af.scalar, "_annulus_cont", spy)
     profile = af.compute_c_infinity(g, h)
-    # 45, 71, 48 and 71 cell solves measured (121, 166, 131 and 197 with
+    # 45, 66, 48 and 71 cell solves measured (121, 166, 131 and 197 with
     # the exhaustive seed and a difference Hessian); the golden-section
     # search made 744 on the first case
     assert len(calls) <= 80
@@ -816,8 +816,8 @@ def test_partition_radii_are_stationary_within_a_solve_budget(
 
 def test_partition_route_raises_on_radii_left_non_stationary():
     # on the under-resolved (3, 4, 2049, 40), whose first cell holds about
-    # 7 nodes, the radius Newton stops at |dE/drho| dr = 1.2; converged
-    # profiles end at 2.3e-9 or less
+    # 7 nodes, the radius Newton stops at |dE/drho| dr = 8.4; converged
+    # profiles end at 6.5e-10 or less
     g = af.build_grid(3, 2049, 40.0)
     with pytest.raises(af.NewtonDivergence, match="not stationary"):
         af.compute_c_infinity(g, 4)
@@ -845,3 +845,84 @@ def test_partition_route_makes_no_cell_solve_after_the_radius_newton(monkeypatch
     assert events.count("radii") == 1 and "cell" in events
     assert events[-1] == "radii", events[events.index("radii"):]
     assert len(profile.node_radii) == 2
+
+
+def test_radius_newton_is_one_grid_newton_call(monkeypatch):
+    # the interface radii are found by grid.newton, whose one call on the
+    # h - 1 interior radii starts at the seed; every other call polishes a
+    # window of at least 8 nodes
+    g = af.build_grid(2, 2049, 30.0)
+    newton = af.scalar.newton
+    starts = []
+
+    def spy(residual, factor, u, *args):
+        if len(u) < 8:
+            starts.append(u.copy())
+        return newton(residual, factor, u, *args)
+
+    monkeypatch.setattr(af.scalar, "newton", spy)
+    af.compute_c_infinity(g, 3)
+    seed = af.scalar._partition_seed(g, 3)
+    assert len(starts) == 1
+    assert starts[0].tobytes() == seed[1:-1].tobytes()
+
+
+def test_radius_newton_exit_on_a_rejected_trial_keeps_its_start(monkeypatch):
+    # once a pass leaves 1e-9 < |dE/drho| dr < 1e-6, every later trial is
+    # reported worse, so grid.newton ends on a step it cannot take: the
+    # radii are that step's start, and the fields those of the last cell
+    # solves at them.  The first such trial solves its cells, so the last
+    # pass lies off the returned radii; the others solve none
+    g = af.build_grid(2, 2049, 30.0)
+    newton, cell = af.scalar.newton, af.scalar._annulus_cont
+    solves, exits = {}, []
+
+    def cell_spy(grid, a, b, **kwargs):
+        out = cell(grid, a, b, **kwargs)
+        solves[a, b] = out[0]
+        return out
+
+    def newton_spy(residual, factor, u, tol, *args):
+        if len(u) >= 8:
+            return newton(residual, factor, u, tol, *args)
+        stuck = []
+
+        def spoiled(y):
+            if stuck:
+                if len(stuck) == 1:
+                    stuck.append(y.copy())
+                    residual(y)
+                return np.full(len(y), 2.0 * stuck[0])
+            F = residual(y)
+            if 1e-9 < np.max(np.abs(F)) * g.dr < 1e-6:
+                stuck.append(np.max(np.abs(F)))
+            return F
+
+        out = newton(spoiled, factor, u, tol, *args)
+        exits.append((out, stuck))
+        return out
+
+    monkeypatch.setattr(af.scalar, "_annulus_cont", cell_spy)
+    monkeypatch.setattr(af.scalar, "newton", newton_spy)
+    rho, fields = af.scalar._stationary_radii(g, af.scalar._partition_seed(g, 3))
+    [((y, nf, _, ok), stuck)] = exits
+    assert len(stuck) == 2 and not ok and nf == stuck[0]
+    assert rho[1:-1].tobytes() == y.tobytes() != stuck[1].tobytes()
+    for l in range(3):
+        assert fields[l] is solves[rho[l], rho[l + 1]]
+
+
+def test_cell_whose_polish_never_converges_raises(monkeypatch):
+    # an unpolished field is no critical point, so its radius derivatives
+    # would be wrong: after 60 descent chunks the cell raises, naming its
+    # radii
+    newton = af.scalar._newton
+
+    def stalled(*args):
+        u, resid, steps, _ = newton(*args)
+        return u, resid, steps, False
+
+    monkeypatch.setattr(af.scalar, "_newton", stalled)
+    g = af.build_grid(2, 513, 30.0)
+    with pytest.raises(af.NewtonDivergence, match=r"cell \(2\.5, 9\.5\)"):
+        af.scalar._annulus_cont(g, 2.5, 9.5)
