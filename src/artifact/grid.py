@@ -141,9 +141,10 @@ def _operator_bands(dimension, r, dr, g):
 
 
 def apply_tridiag(lo, di, up, u):
+    """The tridiagonal matrix (lo, di, up) times u along u's last axis."""
     out = di * u
-    out[:-1] += up * u[1:]
-    out[1:] += lo * u[:-1]
+    out[..., :-1] += up * u[..., 1:]
+    out[..., 1:] += lo * u[..., :-1]
     return out
 
 

@@ -48,6 +48,7 @@ from .errors import (
     StepFailure,
 )
 from .grid import (
+    ROUNDOFF,
     RadialGrid,
     apply_tridiag,
     build_grid,
@@ -286,8 +287,12 @@ def _newton(lo, di, up, u, tol, maxit):
 
     The bands are the window's rows of a -Lap+1 stencil whose field is
     zero outside the window.  A row is converged under tol or the
-    roundoff of its terms |di u| + |u|^3.  Returns (u, max-norm residual,
-    steps taken, converged).
+    roundoff of its terms |di u| + |u|^3.  A polish that stops short of
+    that rule with its max-norm residual under the normwise roundoff
+    4 eps (max|di| max|u| + max|u|^3) is converged too: on fine grids a
+    row's error follows its neighbours' terms (~1/dr^2), not its own, and
+    damped Newton cannot lower it further.  Returns (u, max-norm
+    residual, steps taken, converged).
     """
     dmax = float(np.max(np.abs(di)))
 
@@ -295,17 +300,18 @@ def _newton(lo, di, up, u, tol, maxit):
         m = float(np.max(np.abs(v)))
         return dmax * m + m**3, lambda: np.abs(di * v) + np.abs(v) ** 3
 
-    return newton(
+    u, resid, steps, ok = newton(
         lambda v: apply_tridiag(lo, di, up, v) - v**3,
         lambda v: lambda F: solve_tridiag(lo, di - 3.0 * v**2, up, F),
         u, tol, maxit, rows,
     )
+    return u, resid, steps, ok or resid < ROUNDOFF * rows(u)[0]
 
 
 def _polish(grid: RadialGrid, j0: int, j1: int, u):
     """Newton on the nodes j0..j1-1 from u, zero at every other node;
     returns (field on the full grid, max-norm residual, converged), the
-    last under the row rule of `_newton` with tol 1e-12."""
+    last under the rule of `_newton` with tol 1e-12."""
     out = np.zeros(grid.n_points)
     out[j0:j1], resid, _, ok = _newton(
         grid.op_lower[j0 : j1 - 1], grid.op_diag[j0:j1],
@@ -327,7 +333,7 @@ def _split_profile(grid: RadialGrid, h: int, radii, starts, tol_nehari: float,
     Bump l is polished from starts[l] on the nodes strictly between its
     cuts (bump 0 keeps its axis node; the last stops before the Dirichlet
     node at r_max) and clipped at zero; a polish that does not converge
-    under the row rule of `_newton` raises.  Such a bump satisfies the
+    under the rule of `_newton` raises.  Such a bump satisfies the
     constraint under the global quadrature; one that misses it by more
     than tol_nehari relative raises.  ``extra`` fills the other fields.
     """

@@ -9,8 +9,9 @@ from the initial guess at weak coupling falls into the wrong basin, while
 the walk follows the branch.  Each walk step predicts by the cubic
 Hermite polynomial through the last two accepted states and their branch
 tangents (along the tangent alone before there are two) and corrects
-with full-step Newton, rejecting the step as soon as the
-simplified-Newton contraction shows it left the Newton basin
+with Newton, each factorization serving the full step and then the
+simplified-Newton step that measures the contraction; the trial is
+rejected as soon as that contraction shows it left the Newton basin
 (E. Allgower and K. Georg, Numerical Continuation Methods, 1990;
 P. Deuflhard, Newton Methods for Nonlinear Problems, 2004).  A stage is
 its walked state, already converged by that corrector: one positivity
@@ -141,35 +142,29 @@ def pulse_distance(ensemble: PulseEnsemble, profile: NodalProfile) -> float:
 
 
 def _cross_sq(U: np.ndarray, sq: Optional[np.ndarray] = None) -> np.ndarray:
-    """T_i = sum_{j != i} U_j^2 for each component, shape (k, n); `sq`
-    is U**2 where the caller has it already.
+    """T_i = sum_{j != i} sq_j for each component, shape (k, n), with
+    sq = U**2 unless the caller has it already (`_jacobian_apply` passes
+    the products U_j X_j).
 
-    Summed term by term rather than as S - U_i^2 with S = sum_j U_j^2:
-    the shortcut cancels where U_i dominates.  On the reference sweep's
-    anchor state at beta = 1e7 it moves the residual by 1.3e-9, 13 times
-    NEWTON_TOL.
+    Each T_i is summed from zero in ascending j, one whole-array add per
+    j, rather than as S - U_i^2 with S = sum_j U_j^2: the shortcut
+    cancels where U_i dominates.  On the reference sweep's anchor state
+    at beta = 1e7 it moves the residual by 1.3e-9, 13 times NEWTON_TOL.
     """
     if sq is None:
         sq = U**2
-    k = len(U)
-    return np.array(
-        [sum((sq[j] for j in range(k) if j != i), np.zeros_like(sq[i]))
-         for i in range(k)]
-    )
+    k = len(sq)
+    T = np.zeros_like(sq)
+    for j in range(k):
+        np.add(T, sq[j], out=T, where=(np.arange(k) != j)[:, None])
+    return T
 
 
 def residual_components(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndarray:
     """Discrete residual of each component equation; identity row at r_max."""
-    k = U.shape[0]
-    T = _cross_sq(U)
-    R = np.empty_like(U)
-    for i in range(k):
-        R[i] = (
-            apply_tridiag(grid.op_lower, grid.op_diag, grid.op_upper, U[i])
-            - normal_power(U[i], 3)
-            + beta * U[i] * T[i]
-        )
-        R[i, -1] = U[i, -1]
+    R = (apply_tridiag(grid.op_lower, grid.op_diag, grid.op_upper, U)
+         - normal_power(U, 3) + beta * U * _cross_sq(U))
+    R[:, -1] = U[:, -1]
     return R
 
 
@@ -272,6 +267,18 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
         return x.reshape(n, k).T
 
     return solve
+
+
+def _jacobian_apply(grid: RadialGrid, beta: float, U: np.ndarray,
+                    X: np.ndarray) -> np.ndarray:
+    """J X for the Jacobian J of `residual_components` at U, applied
+    without factoring it; the bands are those of `_jacobian_solver`."""
+    sq = U**2
+    Y = (apply_tridiag(grid.op_lower, grid.op_diag, grid.op_upper, X)
+         + (beta * _cross_sq(U, sq) - 3 * sq) * X
+         + 2 * beta * U * _cross_sq(U, U * X))
+    Y[:, -1] = X[:, -1]  # identity row at r_max
+    return Y
 
 
 def _row_terms(grid: RadialGrid, beta: float):
@@ -470,32 +477,36 @@ def _tangent(grid: RadialGrid, beta: float, U: np.ndarray,
     """Branch tangent dU/dlog10(beta) = -J^{-1} dF/dlog10(beta) at a
     converged state: one solve, after one factorization at U unless
     `solve` brings factors of its own.  The walk passes the factors of
-    its corrector's last step, taken one Newton step before U: they move
-    the tangent by the order of that step.
+    its corrector's last factorization, taken up to two Newton steps
+    before U: their solve T errs by the order of those steps, so one step
+    of iterative refinement, T + solve(-dF - J(U) T) with J(U) applied by
+    `_jacobian_apply`, squares that error.
     """
     dF = np.log(10.0) * beta * U * _cross_sq(U)
     dF[:, -1] = 0.0
     if solve is None:
-        solve = _jacobian_solver(grid, beta, U)
-    return solve(-dF)
+        return _jacobian_solver(grid, beta, U)(-dF)
+    T = solve(-dF)
+    return T + solve(-dF - _jacobian_apply(grid, beta, U, T))
 
 
 def _correct(grid: RadialGrid, beta: float, U: np.ndarray):
-    """Full-step Newton from a predicted state; (the converged state, the
-    solve of its last factorization), or None once the trial is judged
-    outside the Newton basin.
+    """Newton from a predicted state, two steps per factorization; (the
+    converged state, the solve of its last factorization), or None once
+    the trial is judged outside the Newton basin.
 
-    After each step dU, one more solve with the same factors gives the
-    simplified-Newton correction at U + dU, and its ratio to dU in the
-    max norm is the contraction Theta (Deuflhard).  Theta >= 1/2 rejects
-    the trial at once, so a too-long continuation step costs one or two
-    Newton steps.  With
-    Theta < 1/2 every correction at least halves; accepted trials on the
-    reference sweeps take 2 to 6 steps, and 20 bounds a slow contraction.
-    A state is converged under the rule of `coupled_newton` (`_converged`).
-    The returned solve holds the Jacobian factors at the state before the
-    last step, for `_tangent`; it is None when the prediction was
-    converged already.
+    Each factorization takes the full Newton step dU.  One more solve
+    with the same factors gives the simplified-Newton correction dV at
+    U + dU, and its ratio to dU in the max norm is the contraction Theta
+    (Deuflhard).  Theta >= 1/2 rejects the trial at once, so a too-long
+    continuation step costs one factorization; otherwise dV is taken as
+    a second step (Shamanskii's method), and the next factorization is
+    at U + dU + dV.  On the benchmark sweeps accepted trials take 3 to 7
+    steps on 2 to 4 factorizations, and 20 bounds a slow contraction.
+    A state is converged under the rule of `coupled_newton`
+    (`_converged`), checked after every step.  The returned solve holds
+    the Jacobian factors one or two steps before the state, for
+    `_tangent`; it is None when the prediction was converged already.
     """
     F = residual_components(grid, beta, U)
     done = _converged(grid, beta, U, F)
@@ -508,9 +519,13 @@ def _correct(grid: RadialGrid, beta: float, U: np.ndarray):
         U = U + dU
         F = residual_components(grid, beta, U)
         done = _converged(grid, beta, U, F)
-        if not done and not (
-                np.max(np.abs(solve(-F))) < 0.5 * np.max(np.abs(dU))):
-            return None
+        if not done:
+            dV = solve(-F)
+            if not np.max(np.abs(dV)) < 0.5 * np.max(np.abs(dU)):
+                return None
+            U = U + dV
+            F = residual_components(grid, beta, U)
+            done = _converged(grid, beta, U, F)
     return (U, solve) if done else None
 
 
@@ -542,21 +557,24 @@ def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
     `_correct`.  Trials from b_from predict along its tangent; once a
     trial is accepted, trials predict by the cubic Hermite polynomial
     through the last two accepted states and their tangents, which costs
-    no solve and, on the benchmark sweeps, nearly halves the walk's
-    factorizations (242 to 149 on the 13-stage sweep).  The log-coupling
+    no solve.  A continuation over the 13-stage benchmark sweep, anchor
+    included, takes 242 factorizations with the tangent predictor, 149
+    with the Hermite one, and 116 with two corrector steps per
+    factorization (the walk's 91 fall to 58; on the reference sweep 157
+    fall to 116, the walk's 93 to 52).  The log-coupling
     step grows by 1.7 after an accepted trial and shrinks by 0.35 after a
     rejected one, and every segment between targets starts at 0.25
     decade or less.  The tangent at an accepted state reuses the factors
     the corrector returned with it, so only the tangent at b_from costs a
     factorization of its own.  Returns the converged states at the
     targets reached, in order, and the coupling reached: the walk stops
-    short when the step falls under 1e-4 decade or after 400 corrector
-    calls.
+    short when the step falls under 1e-4 decade or after 400 trials
+    (corrector calls).
     """
     states = []
     pos = np.log10(b_from)
     tangent = factors = previous = None
-    solves = 0
+    trials = 0
     for b_to in targets:
         lt = np.log10(b_to)
         step = float(np.clip(lt - pos, -0.25, 0.25))
@@ -569,14 +587,14 @@ def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
             trial = pos + step if abs(step) < abs(lt - pos) else lt
             beta = b_to if trial == lt else 10.0**trial
             corrected = _correct(grid, beta, predict(trial - pos))
-            solves += 1
+            trials += 1
             if corrected is not None:
                 previous = (pos, U, tangent)
                 (U, factors), pos, tangent = corrected, trial, None
                 step *= 1.7
             else:
                 step *= 0.35
-                if abs(step) < 1e-4 or solves >= 400:
+                if abs(step) < 1e-4 or trials >= 400:
                     return states, 10.0**pos
         states.append(U)
     return states, 10.0**pos

@@ -581,6 +581,24 @@ def test_fine_profiles_accept_polishes_at_the_roundoff_of_their_rows():
     assert gap < 0.01 * g.dr
 
 
+def test_resolved_line_profile_accepts_a_polish_stalled_at_its_roundoff():
+    # on (1, 2, 4097, 16) bump 1's polish stalls at 4.1e-11 (partition)
+    # and 3.6e-11 (shooting), with tail rows above 4 eps (|di u| + |u|^3)
+    # but the max norm under the normwise roundoff
+    # 4 eps (max|di| max|u| + max|u|^3); both routes finish and agree
+    g = af.build_grid(1, 4097, 16.0)
+    part = af.compute_c_infinity(g, 2)
+    shoot = af.find_nodal_solution(g, 2)
+    assert abs(part.c_value - shoot.c_value) <= 1e-12 * shoot.c_value
+    assert abs(part.c_value - 4.001114055363661) <= 1e-12 * part.c_value
+    # a polish stopped far above that roundoff stays unconverged
+    j = 400
+    _, resid, _, ok = af.scalar._newton(
+        g.op_lower[: j - 1], g.op_diag[:j], g.op_upper[: j - 1],
+        np.exp(-g.nodes[:j] ** 2), 1e-12, 1)
+    assert resid > 1e-6 and not ok
+
+
 def test_unconverged_polish_raises(monkeypatch):
     newton = af.scalar._newton
 

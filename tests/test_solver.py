@@ -391,14 +391,19 @@ def _band_lu_solve(k, ab, b):
     return x
 
 
+def _bump_states(grid, k, rng):
+    """k noisy Gaussian bumps of random heights and centers."""
+    r = grid.nodes
+    U = np.array([(1.0 + rng.uniform(0.0, 2.0)) * np.exp(-((r - c) ** 2))
+                  for c in rng.uniform(2.0, 12.0, size=k)])
+    return U + 1e-3 * rng.standard_normal(U.shape)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_jacobian_solver_matches_solve_banded(k, rng):
     g = af.build_grid(2, 257, 20.0)
-    r = g.nodes
     for beta in (0.0, 3.0, 1e4):
-        U = np.array([(1.0 + rng.uniform(0.0, 2.0)) * np.exp(-((r - c) ** 2))
-                      for c in rng.uniform(2.0, 12.0, size=k)])
-        U += 1e-3 * rng.standard_normal(U.shape)
+        U = _bump_states(g, k, rng)
         ab = _jacobian_bands_loop(g, beta, U)
         solve = af.solver._jacobian_solver(g, beta, U)
         for _ in range(3):
@@ -436,9 +441,10 @@ def test_jacobian_solver_rejects_an_overflowing_square(k):
 
 
 def test_walk_tangent_from_the_correctors_factors(guess_h2):
-    # the factors of the corrector's last step, one Newton step before
-    # the converged state, give the tangent there to the order of that
-    # step: measured 2.2e-8 and 4.8e-8 relative
+    # the factors of the corrector's last factorization, up to two Newton
+    # steps before the converged state, solve for the tangent there to
+    # the order of those steps (4.8e-5 and 1.0e-4 relative); one step of
+    # refinement with the Jacobian at the state leaves 1.3e-10 and 5.6e-10
     g = guess_h2.grid
     beta = 1000.0
     U, res, _ = af.coupled_newton(g, beta, guess_h2.components(), maxit=120)
@@ -450,6 +456,100 @@ def test_walk_tangent_from_the_correctors_factors(guess_h2):
         reused = af.solver._tangent(g, b2, V, solve)
         fresh = af.solver._tangent(g, b2, V)
         assert np.max(np.abs(reused - fresh)) < 1e-6 * np.max(np.abs(fresh))
+
+
+def test_accepted_correction_takes_more_steps_than_factorizations(
+        guess_h2, monkeypatch):
+    # each factorization serves the full Newton step and, when the
+    # contraction is under 1/2, the simplified step it solves for that
+    # test: measured 4 steps on 2 factorizations at both steps
+    g = guess_h2.grid
+    beta = 1000.0
+    U, _, _ = af.coupled_newton(g, beta, guess_h2.components(), maxit=120)
+    tangent = af.solver._tangent(g, beta, U)
+    real_residual = af.solver.residual_components
+    real_factor = af.solver._jacobian_solver
+    residuals, factors = [], []
+
+    def residual(*args):
+        residuals.append(1)
+        return real_residual(*args)
+
+    def factor(*args):
+        factors.append(1)
+        return real_factor(*args)
+
+    monkeypatch.setattr("artifact.solver.residual_components", residual)
+    monkeypatch.setattr("artifact.solver._jacobian_solver", factor)
+    for step in (-0.1, 0.1):
+        residuals.clear()
+        factors.clear()
+        assert af.solver._correct(g, beta * 10.0**step,
+                                  U + step * tangent) is not None
+        # one residual at the prediction, then one after every step
+        assert len(residuals) - 1 > len(factors) >= 1
+
+
+def _banded_product(k, ab, x):
+    """The solve_banded((k, k))-layout matrix ab times x."""
+    y = np.zeros_like(x)
+    for d in range(-k, k + 1):
+        # row k - d holds the entries (p, p + d) at column p + d
+        if d >= 0:
+            y[: len(x) - d] += ab[k - d, d:] * x[d:]
+        else:
+            y[-d:] += ab[k - d, : len(x) + d] * x[: len(x) + d]
+    return y
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_jacobian_apply_matches_the_banded_product(k, rng):
+    g = af.build_grid(2, 257, 20.0)
+    for beta in (0.0, 3.0, 1e4):
+        U = _bump_states(g, k, rng)
+        ab = _jacobian_bands_loop(g, beta, U)
+        X = rng.standard_normal(U.shape)
+        ref = _banded_product(k, ab, X.T.reshape(-1)).reshape(g.n_points, k).T
+        Y = af.solver._jacobian_apply(g, beta, U, X)
+        assert np.max(np.abs(Y - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _residual_loop(grid, beta, U):
+    # the per-component residual before whole-array evaluation: T_i
+    # summed from zero in ascending j
+    k = len(U)
+    R = np.empty_like(U)
+    for i in range(k):
+        T = sum((U[j] ** 2 for j in range(k) if j != i), np.zeros_like(U[i]))
+        R[i] = (apply_tridiag(grid.op_lower, grid.op_diag, grid.op_upper, U[i])
+                - af.grid.normal_power(U[i], 3) + beta * U[i] * T)
+        R[i, -1] = U[i, -1]
+    return R
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_residual_components_equal_the_per_component_loop(k, rng):
+    g = af.build_grid(2, 257, 20.0)
+    for beta in (0.0, 3.0, 1e4):
+        U = _bump_states(g, k, rng)
+        assert np.array_equal(af.residual_components(g, beta, U),
+                              _residual_loop(g, beta, U))
+
+
+def test_walked_strong_coupling_residual_equals_the_per_component_loop(
+        sweep_dense_profile):
+    # the 13-stage sweep's state walked back to beta = 1e4 from 5e3, whose
+    # tails fall under 1e-154, where their squares are subnormal
+    profile, assignment = sweep_dense_profile
+    g = profile.grid
+    guess = af.initial_guess(profile, assignment)
+    U, _, _ = af.coupled_newton(g, 1e4, guess.components(), maxit=120)
+    [U], _ = af.solver._walk_beta(g, U, 1e4, [5e3])
+    [U], reached = af.solver._walk_beta(g, U, 5e3, [1e4])
+    assert reached == 1e4
+    assert ((np.abs(U) < 1e-154) & (U != 0.0)).any()
+    assert np.array_equal(af.residual_components(g, 1e4, U),
+                          _residual_loop(g, 1e4, U))
 
 
 def test_walk_factors_only_its_first_tangent_outside_the_corrector(
@@ -501,7 +601,8 @@ def test_sweep_anchor_damping_is_predicted(sweep_dense_profile):
 def test_sweep_walk_factorizations(sweep_dense_profile, monkeypatch):
     # one continuation over the 13-stage benchmark sweep, anchor included:
     # 242 Jacobian factorizations with the tangent predictor, 149 with the
-    # cubic Hermite one
+    # cubic Hermite one, 116 when each factorization serves two corrector
+    # steps
     profile, assignment = sweep_dense_profile
     real_factor = af.solver._jacobian_solver
     count = []
@@ -516,7 +617,7 @@ def test_sweep_walk_factorizations(sweep_dense_profile, monkeypatch):
     with pytest.warns(af.StageFailure, match="beta=1 failed"):
         recs = af.continuation(profile, assignment, cfg)
     assert [r.beta for r in recs] == list(cfg.beta_schedule[1:])
-    assert len(count) <= 165
+    assert len(count) <= 125
 
 
 def test_fine_grid_anchor_accepts_at_the_roundoff_of_its_rows():
