@@ -12,7 +12,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import cache
-from importlib.machinery import PathFinder
+from importlib import import_module
+from importlib.machinery import ModuleSpec, PathFinder
 from importlib.util import module_from_spec
 
 import numpy as np
@@ -22,29 +23,41 @@ from numpy.linalg import LinAlgError
 from .errors import ConfigError
 
 
-def _load_flapack():
-    """scipy's LAPACK extension, loaded from its file: importing the
-    ``scipy.linalg`` package costs about 0.2 s, mostly numpy's lazy
-    ``f2py`` and ``testing``, which ``from numpy import *`` loads in
-    ``scipy._lib.array_api_compat.numpy``.  Kept out of ``sys.modules``,
-    the module is imported again by a later ``import scipy.linalg``, whose
-    ``lapack.dgtsv`` and so on are these very objects (CPython caches
-    extensions).  Without the file (a meson editable install), or once the
-    package is imported, the package provides it.
+def _load_scipy(subpackage: str, name: str):
+    """``scipy.<subpackage>.<name>``, loaded from its file without the
+    subpackage's ``__init__``: ``scipy.linalg``'s costs about 0.2 s (its
+    ``from numpy import *`` loads numpy's lazy ``f2py`` and ``testing``),
+    and ``scipy.integrate``'s imports ``linalg``, ``sparse``, ``optimize``
+    and ``special``, more than half of a shooting run's peak memory.  An
+    empty package on the subpackage's directory stands in while the module
+    and its relative imports load; every ``sys.modules`` entry under the
+    subpackage goes afterwards, so a later import of the package runs as
+    usual (CPython caches extensions: ``lapack.dgtsv`` and so on are the
+    objects loaded here).  Without the file (a meson editable install),
+    once the package is imported, or on an ImportError under the stand-in,
+    the package provides the module.
     """
-    name = "scipy.linalg._flapack"
-    if name not in sys.modules:
-        spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+    package, full = f"scipy.{subpackage}", f"scipy.{subpackage}.{name}"
+    if package not in sys.modules:
+        path = [os.path.join(scipy.__path__[0], subpackage)]
+        spec = PathFinder.find_spec(full, path)
         if spec is not None:
-            module = module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules.pop(name, None)
-            return module
-    from scipy.linalg import _flapack
-    return _flapack
+            stand_in = ModuleSpec(package, None, is_package=True)
+            stand_in.submodule_search_locations = path
+            sys.modules[package] = module_from_spec(stand_in)
+            try:
+                sys.modules[full] = module = module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module
+            except ImportError:
+                pass
+            finally:
+                for key in [k for k in sys.modules if f"{k}.".startswith(f"{package}.")]:
+                    del sys.modules[key]
+    return import_module(full)
 
 
-_flapack = _load_flapack()
+_flapack = _load_scipy("linalg", "_flapack")
 dgtsv, dgttrf, dgttrs = _flapack.dgtsv, _flapack.dgttrf, _flapack.dgttrs
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
@@ -166,7 +179,7 @@ def solve_tridiag(lo, di, up, b):
     right-hand side or the columns of an (n, k) array.
 
     Calls LAPACK ``gtsv`` directly, through ``scipy.linalg.lapack``'s
-    wrapper (see `_load_flapack`).  ``scipy.linalg.solve_banded((1, 1),
+    wrapper (see `_load_scipy`).  ``scipy.linalg.solve_banded((1, 1),
     ...)`` ends in the same call, so the result is identical bit for bit;
     skipped are its (3, n) band copy and argument handling, which cost
     more than the solve itself at the sizes of the partition route's

@@ -9,7 +9,7 @@ Two independent routes to the same object:
   amplitude sampled on the nodes (``shoot``) and a damped Newton polish of
   the discrete boundary value problem, whose zeros are the interface
   radii.  Every shot runs on one integrator, Hairer's compiled DOP853
-  (``_shot``), imported at the first shot: only this route shoots.
+  (``_shot``), loaded at the first shot without ``scipy.integrate``.
 * ``compute_c_infinity``: direct minimization of the summed bump energies
   over the interface radii (seeded by the least-energy chain of cells
   whose edges lie on a coarse radius set of a grid of at most SEED_NODES
@@ -50,6 +50,7 @@ from .errors import (
 from .grid import (
     ROUNDOFF,
     RadialGrid,
+    _load_scipy,
     apply_tridiag,
     build_grid,
     conductance,
@@ -63,7 +64,7 @@ from .grid import (
 SIGN_DEADBAND = 1e-12
 ITP_SLACK = 4  # probes the amplitude search may add to a bisection's log2 count
 NEHARI_TOL = 1e-8  # relative miss of ||w||^2 = int w^4 that a finished bump may show
-ode = None  # scipy.integrate.ode, bound by the first shot (``_shot``)
+ode = None  # scipy.integrate.ode, loaded by the first shot (``_shot``)
 _integrators = {}  # (ode, dimension, rtol) -> (DOP853 integrator, step hook)
 
 
@@ -110,14 +111,15 @@ def _shot(grid: RadialGrid, amplitude: float, rtol: float, stop):
     r_max or at the first step where stop(flips, w, w') holds.  Returns
     the sign changes and the accepted (r, w, w') as three arrays.  A
     failed integration raises; its partial count is never used.  DOP853
-    is imported at the first shot, since only the shooting route shoots.
+    is loaded at the first shot, since only the shooting route shoots, and
+    without the scipy.integrate package (see ``grid._load_scipy``).
     scipy's ode never frees an integrator, so each (ode, dimension, rtol)
     gets one, reset by set_initial_value, whose fixed solout calls the
     current shot's callback from ``hook``.
     """
     global ode
     if ode is None:
-        from scipy.integrate import ode
+        ode = _load_scipy("integrate", "_ode").ode
     flips, last, steps = 0, 1.0, []
 
     def step(t, y):

@@ -231,7 +231,7 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
     Fortran-ordered band storage, so ``gbtrf`` factors it in place with
     no copy; each solve is one ``gbtrs``, in place on the node-major copy
     of F, through ``scipy.linalg.lapack``'s wrappers (see
-    `grid._load_flapack`).  These are the eliminations of LAPACK ``gbsv``,
+    `grid._load_scipy`).  These are the eliminations of LAPACK ``gbsv``,
     which ``solve_banded((k, k), ...)`` calls for k >= 2, so solutions
     equal its bit for bit.  A non-finite band entry, such as the square of
     a huge U, raises ValueError.

@@ -174,12 +174,16 @@ def _run_fresh(code):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_only_the_shooting_route_imports_scipy_integrate():
+SCIPY_PACKAGES = ("scipy.integrate", "scipy.linalg", "scipy.sparse",
+                  "scipy.optimize", "scipy.special")
+
+
+def test_no_route_imports_the_scipy_integrate_package():
     # in a fresh interpreter, since the test modules import solve_ivp:
-    # scipy.integrate pulls in scipy.optimize, special, fft and spatial,
-    # about a third of a cold import, and the partition route and the
-    # continuation never shoot; the first shot imports it
-    _run_fresh("""
+    # scipy.integrate pulls in scipy.linalg, sparse, optimize and special,
+    # more than half of a shooting run's peak memory; the continuation
+    # never shoots, and the first shot loads scipy.integrate._ode alone
+    _run_fresh(f"""
         import sys
         import artifact as af
         import artifact.cli
@@ -188,9 +192,60 @@ def test_only_the_shooting_route_imports_scipy_integrate():
         records = af.continuation(profile, af.build_assignment((1, 2)),
                                   af.SolverConfig((100.0,)))
         assert len(records) == 1
-        assert "scipy.integrate" not in sys.modules
+
+        def loaded():
+            return [m for m in {SCIPY_PACKAGES!r} if m in sys.modules]
+
+        assert not loaded(), loaded()
         af.find_nodal_solution(g, 2)
-        assert "scipy.integrate" in sys.modules
+        assert not loaded(), loaded()
+    """)
+
+
+def test_shots_equal_the_scipy_integrate_package_ode():
+    # the package imports as usual after a shot through the loader, and
+    # its own ode class shoots the same profile bit for bit
+    _run_fresh("""
+        import numpy as np
+        import artifact as af
+        g = af.build_grid(2, 513, 30.0)
+        first = af.find_nodal_solution(g, 2)
+        import scipy.integrate
+        assert callable(scipy.integrate.solve_ivp)
+        assert af.scalar.ode is not scipy.integrate.ode
+        af.scalar.ode = scipy.integrate.ode
+        again = af.find_nodal_solution(g, 2)
+        assert np.array_equal(first.solution, again.solution)
+        assert first.c_value == again.c_value
+        assert first.amplitude == again.amplitude
+    """)
+
+
+@pytest.mark.parametrize("hidden", ["scipy.integrate._ode", "scipy.integrate._dop"])
+def test_ode_falls_back_to_the_package(hidden):
+    # without _ode's file, or when _ode's relative import of a compiled
+    # integrator fails under the stand-in package, the first shot imports
+    # the scipy.integrate package
+    _run_fresh(f"""
+        import sys
+        from importlib.machinery import PathFinder
+        find_spec = PathFinder.find_spec
+
+        def no_file(name, path=None, target=None):
+            # hidden until the package itself is imported (the stand-in
+            # has no file), whose own import still finds it
+            package = sys.modules.get("scipy.integrate")
+            if name == {hidden!r} and getattr(package, "__file__", None) is None:
+                return None
+            return find_spec(name, path, target)
+
+        PathFinder.find_spec = staticmethod(no_file)
+        import artifact as af
+        assert "scipy.integrate" not in sys.modules
+        profile = af.find_nodal_solution(af.build_grid(2, 513, 30.0), 2)
+        assert profile.h == 2 and len(profile.node_radii) == 1
+        import scipy.integrate
+        assert af.scalar.ode is scipy.integrate.ode
     """)
 
 
