@@ -5,9 +5,13 @@ s_N r^(N-1) dr, and a conservative tridiagonal stencil for -Lap+1 that is
 exactly self-adjoint under the quadrature weights.  Functions are radial
 representatives: in dimension 1 they are even on the whole line, so the
 measure carries a factor 2 for the two half-lines.
+
+One function, ``flux_form``, builds masses and rows from per-edge lengths
+and conductances: the grid's and those of every partition cell.
 """
 from __future__ import annotations
 
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -73,7 +77,8 @@ class RadialGrid:
     nodes[0] = 0 and nodes[-1] = r_max carry halved trapezoid weights;
     for dimension >= 2 the axis weight is exactly zero.  edge_weights[j]
     is the conductance of the interval (nodes[j], nodes[j+1]) in the flux
-    form of the radial Laplacian.
+    form of the radial Laplacian; with the edge length dr it gives
+    ``flux_form`` the grid's quadrature weights and operator bands.
     """
 
     dimension: int
@@ -93,32 +98,36 @@ class RadialGrid:
 
 
 def build_grid(dimension: int, n_points: int = 4096, r_max: float = 40.0) -> RadialGrid:
-    """Construct the uniform radial grid with n_points nodes on [0, r_max]."""
-    if dimension not in (1, 2, 3):
+    """Construct the uniform radial grid with n_points nodes on [0, r_max]:
+    ``flux_form`` on the nodes below r_max, as a ball cell, then the half
+    mass and the identity row (Dirichlet) of the node at r_max."""
+    # True is an Integral equal to 1; numpy integers are Integrals too
+    if (not isinstance(dimension, numbers.Integral) or dimension is True
+            or dimension not in (1, 2, 3)):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension}")
+    if not isinstance(n_points, numbers.Integral):
+        raise ConfigError(f"n_points must be an integer, got {n_points}")
     if n_points < 16:
         raise ConfigError(f"n_points must be at least 16, got {n_points}")
-    if not 0 < r_max < np.inf:
+    if isinstance(r_max, bool) or not 0 < r_max < np.inf:
         raise ConfigError(f"r_max must be positive and finite, got {r_max}")
     n = int(n_points)
     r = np.linspace(0.0, float(r_max), n)
     dr = r[1] - r[0]
-    sN = SPHERE_MEASURE[dimension]
-    w = sN * r ** (dimension - 1) * dr
-    w[0] *= 0.5
-    w[-1] *= 0.5
     g = conductance(dimension, r[:-1], r[1:])
-    lo, di, up = _operator_bands(dimension, r, dr, g)
+    w, lo, di, up = flux_form(dimension, r[:-1], np.full(n, dr),
+                              np.append(0.0, g), axis=True)
     return RadialGrid(
-        dimension=dimension,
+        dimension=int(dimension),
         n_points=n,
         r_max=float(r_max),
         nodes=r,
         dr=float(dr),
-        quad_weights=w,
+        quad_weights=np.append(w, 0.5 * SPHERE_MEASURE[dimension]
+                               * r[-1] ** (dimension - 1) * dr),
         edge_weights=g,
-        op_lower=lo,
-        op_diag=di,
+        op_lower=np.append(lo[1:], 0.0),
+        op_diag=np.append(di, 1.0),
         op_upper=up,
     )
 
@@ -134,23 +143,38 @@ def conductance(dimension: int, ra, rb):
     return ra * rb
 
 
-def _operator_bands(dimension, r, dr, g):
-    """Bands of the tridiagonal -Lap+1: row 0 by the axis limit
-    -Lap u(0) = -N u''(0), last row the identity (Dirichlet)."""
-    n = len(r)
-    rho = r ** (dimension - 1) if dimension > 1 else np.ones(n)
-    lo = np.zeros(n - 1)
-    di = np.zeros(n)
-    up = np.zeros(n - 1)
-    j = np.arange(1, n - 1)
-    di[j] = (g[j] + g[j - 1]) / (rho[j] * dr**2) + 1.0
-    up[j] = -g[j] / (rho[j] * dr**2)
-    lo[j - 1] = -g[j - 1] / (rho[j] * dr**2)
-    di[0] = 2.0 * dimension / dr**2 + 1.0
-    up[0] = -2.0 * dimension / dr**2
-    di[-1] = 1.0
-    lo[-1] = 0.0
-    return lo, di, up
+def conductance_slopes(dimension: int, ra, rb):
+    """First and second derivatives of ``conductance`` in rb."""
+    if dimension == 2:
+        return 2.0 * ra * ra / (ra + rb) ** 2, -4.0 * ra * ra / (ra + rb) ** 3
+    return (0.0 if dimension == 1 else ra), 0.0
+
+
+def flux_form(dimension: int, r, elen, ge, axis: bool):
+    """Masses and rows (wq, lo, di, up) of -Lap+1 on the m unknowns r.
+
+    Edge q, of length elen[q] and conductance ge[q], joins unknowns q-1
+    and q; edges 0 and m reach a zero boundary and may be cut.  wq is the
+    trapezoid share of the two edges, and the rows, each array of length
+    m, are self-adjoint under wq: lo[q] and up[q] weigh the values across
+    edges q and q+1.  With ``axis``, r[0] = 0, edge 0 is a stand-in that
+    adds no mass (give it ge[0] = 0 on a positive length), and row 0 comes
+    from symmetry, -Lap u(0) = -N u''(0), with lo[0] = 0.
+    """
+    sN = SPHERE_MEASURE[dimension]
+    k = 1 if axis else 0
+    left = elen[:-1].copy()
+    left[:k] = 0.0
+    wq = 0.5 * sN * r ** (dimension - 1) * (left + elen[1:])
+    g = ge / elen
+    lo, di, up = np.zeros((3, len(r)))
+    di[k:] = sN * (g[k:-1] + g[k + 1 :]) / wq[k:] + 1.0
+    lo[k:] = -sN * g[k:-1] / wq[k:]
+    up[k:] = -sN * g[k + 1 :] / wq[k:]
+    if axis:
+        di[0] = 2.0 * dimension / elen[1] ** 2 + 1.0
+        up[0] = -2.0 * dimension / elen[1] ** 2
+    return wq, lo, di, up
 
 
 def apply_tridiag(lo, di, up, u):

@@ -26,10 +26,10 @@ radii; agreement between them is the main cross-check of the
 discretization.
 
 One annulus solver, ``_annulus_cont``, serves every cell of the seed and
-the radius Newton.  One damped Newton, ``grid.newton``, polishes every
-boundary value problem and finds the stationary radii; ``_newton`` applies
-it to a window of nodes with zero values outside: the global field, each
-bump and each cell.
+the radius Newton, on the grid's own stencil, ``grid.flux_form``.  One
+damped Newton, ``grid.newton``, polishes every boundary value problem and
+finds the stationary radii; ``_newton`` applies it to a window of nodes
+with zero values outside: the global field, each bump and each cell.
 """
 from __future__ import annotations
 
@@ -54,7 +54,9 @@ from .grid import (
     apply_tridiag,
     build_grid,
     conductance,
+    conductance_slopes,
     factor_tridiag,
+    flux_form,
     h1_norm_sq,
     lp_integral,
     newton,
@@ -401,9 +403,10 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
     """Annulus ground state with continuous boundary radii a < b.
 
     Unknowns are grid nodes strictly inside (a, b); the boundary sits
-    between nodes, entering through partial-interval flux and quadrature
-    terms so the energy varies smoothly with a and b.  At a = r[jlo],
-    b = r[jhi] the cell is the grid problem on the nodes jlo < j < jhi.
+    between nodes, entering through the cut end edges of ``grid.flux_form``
+    so the energy varies smoothly with a and b; a row whose two edges are
+    whole is the grid's row.  At a = r[jlo], b = r[jhi] the cell is the
+    grid problem on the nodes jlo < j < jhi.
     a = 0 is the center ball, whose unknowns start at the axis node.
     Returns (field on the full grid, energy, derivatives), derivatives
     being (dE/da, dE/db, d2E/da2, d2E/da db, d2E/db2), or (None, inf,
@@ -439,54 +442,25 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
         return None, np.inf, None
     rw_ = r[jfirst : jlast + 1]
 
-    def dgmean(ra, rb):
-        # derivative of grid.conductance in rb
-        if dim == 1:
-            return 0.0
-        if dim == 2:
-            return 2.0 * ra * ra / (ra + rb) ** 2
-        return ra
-
-    def d2gmean(ra, rb):
-        return -4.0 * ra * ra / (ra + rb) ** 3 if dim == 2 else 0.0
-
     # edge q joins unknowns q-1 and q; edges 0 and m reach the boundary
     elen = np.full(m + 1, dr)
-    ge = np.empty(m + 1)
+    ge = np.zeros(m + 1)  # 0 on the ball's stand-in edge 0
     ge[1:m] = grid.edge_weights[jfirst:jlast]
-    if origin:
-        ge[0] = 0.0
-    else:
+    if not origin:
         elen[0] = rw_[0] - a
         ge[0] = conductance(dim, a, rw_[0])
     elen[m] = b - rw_[-1]
     ge[m] = conductance(dim, rw_[-1], b)
-    # node masses: trapezoid over the (possibly partial) adjacent intervals
-    left = elen[:m].copy()
-    if origin:
-        left[0] = 0.0
-    wq = 0.5 * sN * rw_ ** (dim - 1) * (left + elen[1:])
-    # self-adjoint operator rows derived from the quadratic form; the axis
-    # row comes from symmetry instead (zero axis mass for dim > 1)
+    wq, lo, diw, up = flux_form(dim, rw_, elen, ge, origin)
+    low, upw = lo[1:], up[:-1]
     g = ge / elen
-    k = 1 if origin else 0
-    diw = np.empty(m)
-    upw = np.empty(m - 1)
-    diw[k:] = sN * (g[k:m] + g[k + 1 :]) / wq[k:] + 1.0
-    low = -sN * g[1:m] / wq[1:]
-    upw[k:] = -sN * g[k + 1 : m] / wq[k : m - 1]
-    if origin:
-        diw[0] = 2.0 * dim / dr**2 + 1.0
-        upw[0] = -2.0 * dim / dr**2
 
     def h1w(u):
-        tot = np.dot(wq, u * u)
+        # the quadratic form; the ball's stand-in edge 0 adds exactly 0
         du = u[1:] - u[:-1]
-        tot += sN * np.dot(g[1:m], du * du)
-        if not origin:
-            tot += sN * ge[0] / elen[0] * u[0] * u[0]
-        tot += sN * ge[m] / elen[m] * u[-1] * u[-1]
-        return tot
+        return (np.dot(wq, u * u) + sN * np.dot(g[1:m], du * du)
+                + sN * ge[0] / elen[0] * u[0] * u[0]
+                + sN * ge[m] / elen[m] * u[-1] * u[-1])
 
     def proj(u):
         # scaled onto the constraint set, where the energy is aa^2 / (4 bb)
@@ -544,9 +518,10 @@ def _annulus_cont(grid: RadialGrid, a, b, u_init=None):
             # sgn = d elen[q] / d rad: -1 at the inner edge, +1 at the outer;
             # returns (dJ, d2J, d grad_v J) in the radius
             dwq = 0.5 * sN * x ** (dim - 1) * sgn
-            gm, dgm, el = ge[q], dgmean(x, rad), elen[q]
+            gm, el = ge[q], elen[q]
+            dgm, d2gm = conductance_slopes(dim, x, rad)
             dg = (dgm * el - sgn * gm) / el**2
-            d2g = d2gmean(x, rad) / el - 2.0 * sgn * dgm / el**2 + 2.0 * gm / el**3
+            d2g = d2gm / el - 2.0 * sgn * dgm / el**2 + 2.0 * gm / el**3
             return (0.5 * (dwq + sN * dg) * v * v - 0.25 * dwq * v**4,
                     0.5 * sN * d2g * v * v, (dwq + sN * dg) * v - dwq * v**3)
         # envelope theorem: at the critical point the energy's first radius

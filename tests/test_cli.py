@@ -589,8 +589,10 @@ def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
 @pytest.mark.parametrize("entry, message",
                          [({"n_points": 8}, "n_points must be at least 16"),
                           ({"output_dir": 5}, "output_dir must be a string"),
-                          ({"r_max": "40"}, "r_max must be a number, got '40'")],
-                         ids=["n_points-range", "output_dir-type", "r_max-type"])
+                          ({"r_max": "40"}, "r_max must be a number, got '40'"),
+                          ({"dimension": 4}, "dimension must be 1, 2 or 3")],
+                         ids=["n_points-range", "output_dir-type", "r_max-type",
+                              "dimension-range"])
 def test_config_checks_keep_their_own_message(tmp_path, capsys, entry, message):
     # these were reported as "config value of the wrong type: ..." because
     # ConfigError is a ValueError; the strings as "'<' not supported

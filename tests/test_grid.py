@@ -28,10 +28,26 @@ def test_node_spacing():
     (2, 100, 0.0),
     (2, 100, -1.0),
     (2, 100, np.inf),
+    (2, 100.7, 30.0),
+    (True, 100, 30.0),
+    (2.0, 100, 30.0),
+    (2, 100, True),
 ])
 def test_build_grid_rejects(dim, n, rmax):
     with pytest.raises(af.ConfigError):
         af.build_grid(dim, n, rmax)
+
+
+def test_build_grid_names_the_value_it_rejects():
+    # a float node count was truncated, a bool or float dimension kept,
+    # and r_max True ran as 1.0
+    for args, value in [((2, 100.7, 30.0), "100.7"), ((True, 100, 30.0), "True"),
+                        ((2.0, 100, 30.0), "2.0"), ((2, 100, True), "True")]:
+        with pytest.raises(af.ConfigError, match=f"got {value}$"):
+            af.build_grid(*args)
+    g = af.build_grid(np.int64(2), np.int32(100), 30.0)
+    assert g.dimension == 2 and type(g.dimension) is int and g.n_points == 100
+    assert np.array_equal(g.op_diag, af.build_grid(2, 100, 30.0).op_diag)
 
 
 def test_volume_weights_line():

@@ -483,6 +483,31 @@ def test_annulus_bands_match_loop_reference(monkeypatch, dim, a, b, origin):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("jlo, jhi", [(0, 300), (200, 600)])
+def test_cell_rows_on_whole_edges_are_the_grid_rows(monkeypatch, dim, jlo, jhi):
+    # one stencil: a cell at node radii has the grid's row, bit for bit,
+    # at each node whose two edges are whole grid edges (every node but
+    # its last, and its first off the axis; the axis row is the grid's too)
+    g = af.build_grid(dim, 1025, 20.0)
+    seen = []
+
+    def spy(lo, di, up):
+        seen.append((lo.copy(), di.copy(), up.copy()))
+        return factor_tridiag(lo, di, up)
+
+    monkeypatch.setattr(af.scalar, "factor_tridiag", spy)
+    af.scalar._annulus_cont(g, g.nodes[jlo], g.nodes[jhi])
+    lo, di, up = seen[0]
+    first = 0 if jlo == 0 else jlo + 1  # grid index of the cell's node 0
+    q = np.arange(0 if jlo == 0 else 1, len(di) - 1)  # rows on whole edges
+    assert len(q) >= 300 - 2
+    assert np.array_equal(di[q], g.op_diag[first + q])
+    assert np.array_equal(up[q], g.op_upper[first + q])
+    q = q[q > 0]
+    assert np.array_equal(lo[q - 1], g.op_lower[first + q - 1])
+
+
 def test_annulus_factors_its_preconditioner_once(monkeypatch):
     # the descent reuses one factorization of the cell's -Lap+1; the
     # Newton polish, whose matrix changes every step, solves from scratch,
