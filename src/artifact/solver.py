@@ -4,14 +4,19 @@ the k-component cubic system.
 A continuation run anchors a damped Newton solve at a large coupling,
 where the segregated initial guess is nearly exact, and walks the
 positive branch once in log-coupling: down through the schedule points
-at or below the anchor, then up through those above it.  Plain descent
-from the initial guess at weak coupling falls into the wrong basin, while
-the walk follows the branch.  Each walk step predicts by the cubic
-Hermite polynomial through the last two accepted states and their branch
-tangents (along the tangent alone before there are two) and corrects
-with Newton, each factorization serving the full step and then the
-simplified-Newton step that measures the contraction; the trial is
-rejected as soon as that contraction shows it left the Newton basin
+at or below the anchor, then up through those above it.  The anchor is
+solved by nested iteration (W. Briggs, V. Henson and S. McCormick, A
+Multigrid Tutorial, 2000): on the coarsest halving of the grid that
+keeps four nodes per layer scale beta^(-1/4) first, then on each finer
+grid from the interpolated coarser state, because damped steps from the
+guess move the interface fronts by a fraction of a node each.  Plain
+descent from the initial guess at weak coupling falls into the wrong
+basin, while the walk follows the branch.  Each walk step predicts by
+the cubic Hermite polynomial through the last two accepted states and
+their branch tangents (along the tangent alone before there are two)
+and corrects with Newton, each factorization serving the full step and
+then the simplified-Newton step that measures the contraction; the trial
+is rejected as soon as that contraction shows it left the Newton basin
 (E. Allgower and K. Georg, Numerical Continuation Methods, 1990;
 P. Deuflhard, Newton Methods for Nonlinear Problems, 2004).  A stage is
 its walked state, already converged by that corrector: one positivity
@@ -38,8 +43,10 @@ from .errors import (
     StageFailure,
 )
 from .grid import (
+    ROUNDOFF,
     RadialGrid,
     apply_tridiag,
+    build_grid,
     converged,
     dgbtrf,
     dgbtrs,
@@ -60,6 +67,8 @@ from .scalar import NodalProfile
 LAMBDA_UNIT_TOL = 1e-6
 # coupling of the anchor solve, where the segregated guess is nearly exact
 ANCHOR_BETA = 1e4
+# nodes per layer scale beta^(-1/4) that the coarsest anchor level keeps
+ANCHOR_LAYER_NODES = 4
 # residual under which every coupled Newton row is converged (rows whose
 # terms are large converge at their roundoff instead, see grid.converged)
 NEWTON_TOL = 1e-10
@@ -561,7 +570,8 @@ def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
     included, takes 242 factorizations with the tangent predictor, 149
     with the Hermite one, and 116 with two corrector steps per
     factorization (the walk's 91 fall to 58; on the reference sweep 157
-    fall to 116, the walk's 93 to 52).  The log-coupling
+    fall to 116, the walk's 93 to 52, and to 96 once its anchor is
+    nested, 44 steps against 64, see `continuation`).  The log-coupling
     step grows by 1.7 after an accepted trial and shrinks by 0.35 after a
     rejected one, and every segment between targets starts at 0.25
     decade or less.  The tangent at an accepted state reuses the factors
@@ -611,22 +621,56 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     corrector has converged: `_certify` cuts it at the re-located bump
     centers and certifies it with one scaling maximization, with no
     Newton solve of its own.
+
+    The anchor is solved on levels, coarsest first: the grid, halved to
+    (n - 1) // 2 + 1 nodes on the same r_max as long as the spacing stays
+    at most anchor^(-1/4) / ANCHOR_LAYER_NODES, so that the coarsest
+    level still has four nodes per width of the layers where pulses of
+    different components meet.  Damped Newton from the guess K moves the
+    tail fronts at those layers by about half a node per step, so its
+    step count grows with n: on the reference sweep's (2, 4097, 40) it
+    takes 64 steps, and levels of 2049 and 4097 nodes 39 + 5.  The coarsest
+    level starts from K interpolated onto it, each finer level from the
+    converged coarser state, interpolated linearly (exact on the nodes
+    the two grids share), or from K again when the coarser level did not
+    converge, which costs time but never the answer.  A level counts as
+    converged also when it stops with its max-norm residual under the
+    normwise roundoff ROUNDOFF * max row term (`_row_terms`), the rule of
+    the profile polishes: on (2, 16385, 30) the finest level stops at
+    6.2e-10 against a bound of 5.0e-9.  Only the finest level's
+    convergence decides.
+
     A failed stage, including one beyond a walk stall, is reported as a
     `StageFailure` warning naming its cause and is absent from the
-    records; the other stages are unaffected.  An anchor solve that does
-    not converge under the rule of `coupled_newton` raises
-    NewtonDivergence.  It does so on the line with h >= 2, e.g.
-    (N, n, r_max) = (1, 513, 30) with h = 3: there the anchor stalls for
-    real, at a residual of about 2.5e-4.  Energy conservation on the line
-    forbids a decaying sign-changing solution, so those bumps exist only
-    through the Dirichlet condition at r_max, outside the paper's R^N.
+    records; the other stages are unaffected.  An anchor whose finest
+    level does not converge raises NewtonDivergence.  It does so on the
+    line with h >= 2, e.g. (N, n, r_max) = (1, 513, 30) with h = 3: there
+    the anchor stalls for real, at a residual of about 2.5e-4.  Energy
+    conservation on the line forbids a decaying sign-changing solution,
+    so those bumps exist only through the Dirichlet condition at r_max,
+    outside the paper's R^N.
     """
     grid = profile.grid
     guess = initial_guess(profile, assignment)
     schedule = config.beta_schedule
     anchor = max(ANCHOR_BETA, schedule[0])
-    U, res, _ = coupled_newton(grid, anchor, guess.components(), maxit=120)
-    if not _converged(grid, anchor, U, residual_components(grid, anchor, U)):
+    K = guess.components()
+    spacing = anchor**-0.25 / ANCHOR_LAYER_NODES
+    levels, m = [grid], (grid.n_points - 1) // 2 + 1
+    while m >= 16 and grid.r_max / (m - 1) <= spacing:
+        levels.insert(0, build_grid(grid.dimension, m, grid.r_max))
+        m = (m - 1) // 2 + 1
+    source, start = grid, K
+    for level in levels:
+        if level is not source:
+            start = np.array([np.interp(level.nodes, source.nodes, u)
+                              for u in start])
+        U, res, _ = coupled_newton(level, anchor, start, maxit=120)
+        F = residual_components(level, anchor, U)
+        ok = (_converged(level, anchor, U, F)
+              or res < ROUNDOFF * _row_terms(level, anchor)(U)[0])
+        source, start = (level, U) if ok else (grid, K)
+    if not ok:
         raise NewtonDivergence(f"anchor solve stalled at residual {res:.2e}")
     states, stalls = {}, {}
     for targets in ([b for b in reversed(schedule) if b <= anchor],

@@ -679,3 +679,68 @@ def test_strong_coupling_powers_match_pow():
     assert np.array_equal(af.solver._row_terms(g, beta)(U)[1](), rows)
     assert np.array_equal(af.solver._picard_step(g, beta, U), V)
     assert af.coupled_energy(g, beta, U) == energy
+
+
+@pytest.fixture(scope="module")
+def sweep_ref_profile():
+    # the grid, profile and assignment of the reference sweep
+    g = af.build_grid(2, 4097, 40.0)
+    return af.compute_c_infinity(g, 5), af.build_assignment((1, 2, 1, 3, 2))
+
+
+def _anchor_solves(profile, assignment, monkeypatch):
+    """The anchor solves of a beta = 1e4 continuation, coarsest level
+    first: (grid, state, max-norm residual) of each."""
+    real = af.solver.coupled_newton
+    solves = []
+
+    def spy(grid, beta, U, **kwargs):
+        out = real(grid, beta, U, **kwargs)
+        solves.append((grid, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr("artifact.solver.coupled_newton", spy)
+    af.continuation(profile, assignment, af.SolverConfig(beta_schedule=(1e4,)))
+    monkeypatch.undo()
+    return solves
+
+
+def test_anchor_levels_keep_four_nodes_per_layer_scale(
+        sweep_dense_profile, sweep_ref_profile, monkeypatch):
+    # the anchor halves the grid while the spacing stays at most
+    # 1e4^(-1/4) / 4 = 0.025: sweep-dense's 1025-node level would have
+    # 0.029, so it anchors on its own grid, and the reference sweep
+    # anchors on 2049 nodes (0.0195) first
+    solves = _anchor_solves(*sweep_dense_profile, monkeypatch)
+    assert [g.n_points for g, _, _ in solves] == [2049]
+    solves = _anchor_solves(*sweep_ref_profile, monkeypatch)
+    assert [g.n_points for g, _, _ in solves] == [2049, 4097]
+    # the nested state is the one-level state (1.0e-12 measured)
+    profile, assignment = sweep_ref_profile
+    K = af.initial_guess(profile, assignment).components()
+    U, _, _ = af.coupled_newton(profile.grid, 1e4, K, maxit=120)
+    assert np.max(np.abs(solves[-1][1] - U)) < 5e-12
+
+
+def test_anchor_converges_where_damped_newton_from_the_guess_stalls():
+    # on (3, 2049, 20) damped Newton from the segregated guess stalls at
+    # residual 2.54; from the converged 1025-node state it converges
+    g = af.build_grid(3, 2049, 20.0)
+    profile = af.compute_c_infinity(g, 4)
+    recs = af.continuation(profile, af.build_assignment((1, 2, 3, 1)),
+                           af.SolverConfig(beta_schedule=(1e4,)))
+    assert [r.beta for r in recs] == [1e4]
+    assert recs[0].accepted
+
+
+def test_anchor_level_accepts_a_stall_at_the_normwise_roundoff(monkeypatch):
+    # on (2, 16385, 30) the finest anchor level stops at 6.2e-10, where
+    # some row exceeds its own roundoff, but under the normwise roundoff
+    # 4 eps (max|di| m + (1 + beta) m^3) = 5.0e-9 of the system
+    g = af.build_grid(2, 16385, 30.0)
+    profile = af.compute_c_infinity(g, 3)
+    solves = _anchor_solves(profile, af.build_assignment((1, 2, 1)), monkeypatch)
+    assert [level.n_points for level, _, _ in solves] == [2049, 4097, 8193, 16385]
+    _, U, res = solves[-1]
+    assert not af.solver._converged(g, 1e4, U, af.residual_components(g, 1e4, U))
+    assert res < af.grid.ROUNDOFF * af.solver._row_terms(g, 1e4)(U)[0]
