@@ -55,7 +55,7 @@ class ExperimentConfig:
     beta_schedule: tuple = SolverConfig.beta_schedule
     output_dir: str = "runs"
     # not a field, so no config sets it: the benchmark passes it to
-    # compute_c_infinity, and it goes with that keyword (ROADMAP item 2)
+    # compute_c_infinity, and it goes with that keyword (ROADMAP item 20)
     tol_nehari: ClassVar[float] = NEHARI_TOL
 
     def __post_init__(self) -> None:

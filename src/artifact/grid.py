@@ -109,8 +109,9 @@ def build_grid(dimension: int, n_points: int = 4096, r_max: float = 40.0) -> Rad
         raise ConfigError(f"n_points must be an integer, got {n_points}")
     if n_points < 16:
         raise ConfigError(f"n_points must be at least 16, got {n_points}")
-    if isinstance(r_max, bool) or not 0 < r_max < np.inf:
-        raise ConfigError(f"r_max must be positive and finite, got {r_max}")
+    if (not isinstance(r_max, numbers.Real) or isinstance(r_max, bool)
+            or not 0 < r_max < np.inf):
+        raise ConfigError(f"r_max must be positive and finite, got {r_max!r}")
     n = int(n_points)
     r = np.linspace(0.0, float(r_max), n)
     dr = r[1] - r[0]
@@ -240,7 +241,7 @@ def factor_tridiag(lo, di, up):
 
 
 def converged(F, nf, tol, rows, u) -> bool:
-    """The acceptance rule of every Newton iteration: each row of the
+    """The stopping rule of every Newton iteration: each row of the
     residual F at u, whose max norm is nf, satisfies
     |F_j| < max(tol, 4 eps rows_j(u)).
 
@@ -259,31 +260,37 @@ def converged(F, nf, tol, rows, u) -> bool:
     return bool(np.all(np.abs(F) < np.maximum(tol, ROUNDOFF * terms())))
 
 
-def newton(residual, factor, u, tol, maxit, rows, history=None):
-    """Damped Newton for residual(u) = 0; returns (u, max-norm residual,
-    steps, converged).
+def accepts(nf, tol, rows, u) -> bool:
+    """The verdict on a Newton iteration that stops short of
+    ``converged``: its max-norm residual nf lies under tol or under the
+    normwise roundoff 4 eps bound, the bound of ``rows(u)``.  On fine
+    grids a row's error follows its neighbours' terms (~1/dr^2), not its
+    own, and damped Newton cannot lower it further."""
+    return nf < tol or nf < ROUNDOFF * rows(u)[0]
 
-    The iteration stops once u meets the acceptance rule of
-    ``converged`` under tol and the caller's row terms ``rows``.
-    factor(u) returns solve(F), the Jacobian at u applied inversely.  A
-    step u - t solve(F) halves t, up to 50 times, until the max-norm
-    residual drops by the Armijo factor 1 - t/4 or falls under tol
-    (P. Deuflhard, Newton Methods for Nonlinear Problems, 2004); a step
-    that finds neither ends the iteration unconverged.  The first t of a
-    step is predicted from the last accepted one as min(1, 4 t), with t = 1
-    for the first step, a plain form of Deuflhard's predictor, which
-    estimates t from the last step's contraction: far from the solution
-    a damped step tends to follow a damped step, and the trial grows
-    fourfold per step back to a full one.  On the beta = 1e4 anchor
-    of a 13-stage sweep ((2, 2049, 30), sigma (1,2,1,3,2)) this takes 58
-    steps and 158 residuals, where restarting every step at t = 1 took 97
-    and 423.
-    ``history`` collects the residual of u and of every accepted step.
+
+def newton(residual, factor, u, tol, maxit, rows):
+    """Damped Newton for residual(u) = 0; returns (u, max-norm residual,
+    steps, accepted).
+
+    The iteration stops once u meets the rule of ``converged`` under tol
+    and the caller's row terms ``rows``; when it stops short of that, its
+    verdict is the rule of ``accepts``.  factor(u) returns solve(F), the
+    Jacobian at u applied inversely.  A step u - t solve(F) halves t, up
+    to 50 times, until the max-norm residual drops by the Armijo factor
+    1 - t/4 or falls under tol (P. Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004); a step that finds neither ends the
+    iteration.  The first t of a step is predicted from the last accepted
+    one as min(1, 4 t), with t = 1 for the first step, a plain form of
+    Deuflhard's predictor, which estimates t from the last step's
+    contraction: far from the solution a damped step tends to follow a
+    damped step, and the trial grows fourfold per step back to a full
+    one.  On the beta = 1e4 anchor of a 13-stage sweep ((2, 2049, 30),
+    sigma (1,2,1,3,2)) this takes 58 steps and 158 residuals, where
+    restarting every step at t = 1 took 97 and 423.
     """
     F = residual(u)
     nf = float(np.max(np.abs(F)))
-    if history is not None:
-        history.append(nf)
     t = 1.0
     for it in range(maxit):
         if converged(F, nf, tol, rows, u):
@@ -298,11 +305,9 @@ def newton(residual, factor, u, tol, maxit, rows, history=None):
                 break
             t *= 0.5
         else:
-            return u, nf, it, False
+            return u, nf, it, accepts(nf, tol, rows, u)
         u, F, nf = un, Fn, nn
-        if history is not None:
-            history.append(nf)
-    return u, nf, maxit, converged(F, nf, tol, rows, u)
+    return u, nf, maxit, accepts(nf, tol, rows, u)
 
 
 def h1_inner(grid: RadialGrid, u, v) -> float:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,7 +49,6 @@ from .errors import (
     StepFailure,
 )
 from .grid import (
-    ROUNDOFF,
     RadialGrid,
     _load_scipy,
     apply_tridiag,
@@ -290,13 +290,11 @@ def _newton(lo, di, up, u, tol, maxit):
     """``grid.newton`` for (lo, di, up) u - u^3 = 0 on a window of nodes.
 
     The bands are the window's rows of a -Lap+1 stencil whose field is
-    zero outside the window.  A row is converged under tol or the
-    roundoff of its terms |di u| + |u|^3.  A polish that stops short of
-    that rule with its max-norm residual under the normwise roundoff
-    4 eps (max|di| max|u| + max|u|^3) is converged too: on fine grids a
-    row's error follows its neighbours' terms (~1/dr^2), not its own, and
-    damped Newton cannot lower it further.  Returns (u, max-norm
-    residual, steps taken, converged).
+    zero outside the window.  A row's terms are |di u| + |u|^3, so a
+    polish that stalls with its max-norm residual under the normwise
+    roundoff 4 eps (max|di| max|u| + max|u|^3) is accepted
+    (``grid.accepts``).  Returns (u, max-norm residual, steps taken,
+    accepted).
     """
     dmax = float(np.max(np.abs(di)))
 
@@ -304,12 +302,11 @@ def _newton(lo, di, up, u, tol, maxit):
         m = float(np.max(np.abs(v)))
         return dmax * m + m**3, lambda: np.abs(di * v) + np.abs(v) ** 3
 
-    u, resid, steps, ok = newton(
+    return newton(
         lambda v: apply_tridiag(lo, di, up, v) - v**3,
         lambda v: lambda F: solve_tridiag(lo, di - 3.0 * v**2, up, F),
         u, tol, maxit, rows,
     )
-    return u, resid, steps, ok or resid < ROUNDOFF * rows(u)[0]
 
 
 def _polish(grid: RadialGrid, j0: int, j1: int, u):
@@ -362,6 +359,12 @@ def _split_profile(grid: RadialGrid, h: int, radii, starts, tol_nehari: float,
                         node_radii=tuple(float(x) for x in radii), **extra)
 
 
+def _check_h(h) -> None:
+    # True is an Integral equal to 1; numpy integers are Integrals too
+    if not isinstance(h, numbers.Integral) or isinstance(h, bool) or h < 1:
+        raise ConfigError(f"h must be an integer of at least 1, got {h!r}")
+
+
 def find_nodal_solution(grid: RadialGrid, h: int) -> NodalProfile:
     """Shooting route: the h-bump sign-changing solution and its bump split.
 
@@ -371,8 +374,7 @@ def find_nodal_solution(grid: RadialGrid, h: int) -> NodalProfile:
     polished on every node but the Dirichlet one; the zeros of the
     polished field W are the radii, and |W| starts every bump.
     """
-    if h < 1:
-        raise ConfigError(f"h must be at least 1, got {h}")
+    _check_h(h)
     r, dr = grid.nodes, grid.dr
     a = _critical_amplitude(grid, h)
     W, resid, ok = _polish(grid, 0, grid.n_points - 1, shoot(grid, a)[1])
@@ -725,11 +727,10 @@ def compute_c_infinity(grid: RadialGrid, h: int,
     on the nodes between the nodes nearest the radii: there they solve the
     grid problem, so they satisfy the constraint under the global
     quadrature, which off-node radii would not (their cut-cell terms are
-    absent from the grid).  ``tol_nehari`` stays only while the benchmark passes it; it
-    goes with ROADMAP item 2.
+    absent from the grid).  ``tol_nehari`` stays only while the benchmark
+    passes it; it goes with ROADMAP item 20.
     """
-    if h < 1:
-        raise ConfigError(f"h must be at least 1, got {h}")
+    _check_h(h)
     rho = _partition_seed(grid, h)
     if h > 1:
         rho, starts = _stationary_radii(grid, rho)

@@ -43,8 +43,8 @@ from .errors import (
     StageFailure,
 )
 from .grid import (
-    ROUNDOFF,
     RadialGrid,
+    accepts,
     apply_tridiag,
     build_grid,
     converged,
@@ -72,6 +72,8 @@ ANCHOR_LAYER_NODES = 4
 # residual under which every coupled Newton row is converged (rows whose
 # terms are large converge at their roundoff instead, see grid.converged)
 NEWTON_TOL = 1e-10
+# damped steps of one coupled Newton solve
+NEWTON_MAXIT = 120
 # max-norm residual under which a stage's state is accepted
 ACCEPT_RESIDUAL = 1e-8
 
@@ -248,15 +250,13 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
     k, n = U.shape
     sq = U**2
     diag = grid.op_diag - 3 * sq + beta * _cross_sq(U, sq)
-    diag[:, -1] = 1.0  # identity row at r_max
-    lower = grid.op_lower.copy()
-    lower[-1] = 0.0
+    diag[:, -1] = 1.0  # identity row at r_max, whose op_lower entry is 0
     # band storage with k rows for fill-in on top: entry (p, q) sits in
     # row 2k + p - q, column q = k * node + component; row is the last axis
     band = np.zeros((n, k, 3 * k + 1))
     band[:, :, 2 * k] = diag.T
     band[1:, :, k] = grid.op_upper[:, None]
-    band[:-1, :, 3 * k] = lower[:, None]
+    band[:-1, :, 3 * k] = grid.op_lower[:, None]
     C = 2 * beta * U[:, None, :] * U[None, :, :]  # dF_i/dU_j at each node
     C[:, :, -1] = 0.0
     for i in range(k):
@@ -314,22 +314,21 @@ def _converged(grid: RadialGrid, beta: float, U: np.ndarray,
 
 
 def coupled_newton(grid: RadialGrid, beta: float, U: np.ndarray,
-                   tol: float = NEWTON_TOL, maxit: int = 60,
-                   history: Optional[list] = None):
+                   tol: float = NEWTON_TOL):
     """Damped banded Newton on the k-field system; returns (U, resid, iters)
     with resid the max-norm residual.
 
     `grid.newton` on `residual_components`, each step solved with
-    `_jacobian_solver`, from a copy of U; a row is converged under tol or
-    the roundoff of its terms (`_row_terms`).  It serves the anchor solve
-    of `continuation` and `newton_refine`, whose starting states lie
-    outside the full-step Newton basin; the beta-walk uses its own
-    corrector, `_correct`.
+    `_jacobian_solver`, from a copy of U, for at most NEWTON_MAXIT steps;
+    a row is converged under tol or the roundoff of its terms
+    (`_row_terms`).  It serves the anchor solve of `continuation` and
+    `newton_refine`, whose starting states lie outside the full-step
+    Newton basin; the beta-walk uses its own corrector, `_correct`.
     """
     U, resid, iters, _ = newton(lambda V: residual_components(grid, beta, V),
                                 lambda V: _jacobian_solver(grid, beta, V),
-                                U.copy(), tol, maxit, _row_terms(grid, beta),
-                                history)
+                                U.copy(), tol, NEWTON_MAXIT,
+                                _row_terms(grid, beta))
     return U, resid, iters
 
 
@@ -474,7 +473,7 @@ def newton_refine(beta: float, ensemble: PulseEnsemble,
     assignment = ensemble.assignment
     report = maximize_phi(beta, ensemble)
     U0 = ensemble.components(report.lambda_bar)
-    U, resid, _ = coupled_newton(grid, beta, U0, maxit=80)
+    U, resid, _ = coupled_newton(grid, beta, U0)
     if resid > ACCEPT_RESIDUAL:
         raise NewtonDivergence(f"coupled solve stalled at residual {resid:.2e}")
     centers = [int(np.argmax(ensemble.pulses[q])) for q in range(assignment.h)]
@@ -512,10 +511,12 @@ def _correct(grid: RadialGrid, beta: float, U: np.ndarray):
     a second step (Shamanskii's method), and the next factorization is
     at U + dU + dV.  On the benchmark sweeps accepted trials take 3 to 7
     steps on 2 to 4 factorizations, and 20 bounds a slow contraction.
-    A state is converged under the rule of `coupled_newton`
-    (`_converged`), checked after every step.  The returned solve holds
-    the Jacobian factors one or two steps before the state, for
-    `_tangent`; it is None when the prediction was converged already.
+    A state is converged under the stopping rule of `coupled_newton`
+    (`_converged`), checked after every step; a stall is no verdict here
+    (`grid.accepts`), as the walk retries it with a shorter step.  The
+    returned solve holds the Jacobian factors one or two steps before the
+    state, for `_tangent`; it is None when the prediction was converged
+    already.
     """
     F = residual_components(grid, beta, U)
     done = _converged(grid, beta, U, F)
@@ -633,12 +634,11 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     level starts from K interpolated onto it, each finer level from the
     converged coarser state, interpolated linearly (exact on the nodes
     the two grids share), or from K again when the coarser level did not
-    converge, which costs time but never the answer.  A level counts as
-    converged also when it stops with its max-norm residual under the
-    normwise roundoff ROUNDOFF * max row term (`_row_terms`), the rule of
-    the profile polishes: on (2, 16385, 30) the finest level stops at
-    6.2e-10 against a bound of 5.0e-9.  Only the finest level's
-    convergence decides.
+    converge, which costs time but never the answer.  A level is judged by
+    `grid.accepts` on its row terms (`_row_terms`), the rule of the
+    profile polishes, which takes a stall under the normwise roundoff:
+    on (2, 16385, 30) the finest level stops at 6.2e-10 against a bound
+    of 5.0e-9.  Only the finest level's verdict decides.
 
     A failed stage, including one beyond a walk stall, is reported as a
     `StageFailure` warning naming its cause and is absent from the
@@ -665,10 +665,8 @@ def continuation(profile: NodalProfile, assignment: Assignment,
         if level is not source:
             start = np.array([np.interp(level.nodes, source.nodes, u)
                               for u in start])
-        U, res, _ = coupled_newton(level, anchor, start, maxit=120)
-        F = residual_components(level, anchor, U)
-        ok = (_converged(level, anchor, U, F)
-              or res < ROUNDOFF * _row_terms(level, anchor)(U)[0])
+        U, res, _ = coupled_newton(level, anchor, start)
+        ok = accepts(res, NEWTON_TOL, _row_terms(level, anchor), U)
         source, start = (level, U) if ok else (grid, K)
     if not ok:
         raise NewtonDivergence(f"anchor solve stalled at residual {res:.2e}")

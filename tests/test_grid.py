@@ -32,6 +32,8 @@ def test_node_spacing():
     (True, 100, 30.0),
     (2.0, 100, 30.0),
     (2, 100, True),
+    (2, 513, "30"),
+    (2, 513, None),
 ])
 def test_build_grid_rejects(dim, n, rmax):
     with pytest.raises(af.ConfigError):

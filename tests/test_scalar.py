@@ -771,6 +771,14 @@ def test_partition_rejects_bad_h(grid_h2):
         af.compute_c_infinity(grid_h2, 0)
 
 
+@pytest.mark.parametrize("route", ["compute_c_infinity", "find_nodal_solution"])
+@pytest.mark.parametrize("h", [2.5, 2.0, True, "2", None])
+def test_profile_routes_reject_an_h_that_is_no_integer(grid_h2, route, h):
+    # 2.5 raised TypeError in the seed search, and True ran as h = 1
+    with pytest.raises(af.ConfigError, match="h must be an integer"):
+        getattr(af, route)(grid_h2, h)
+
+
 def test_shot_amplitude_recorded(soliton_profile):
     # the sech soliton has height sqrt(2)
     assert soliton_profile.amplitude == pytest.approx(np.sqrt(2.0), abs=1e-3)

@@ -92,6 +92,33 @@ def test_split_components_partitions_positive_part(rng):
     assert P[0][np.argmax(P[2])] == 0.0
 
 
+def test_split_components_cuts_adjacent_centers_after_the_first():
+    # two pulses of one component centred on neighbouring nodes leave no
+    # interior node for a minimum: the cut falls right after the first
+    g = af.build_grid(2, 65, 10.0)
+    asg = af.build_assignment((1, 2, 1))
+    U = np.array([np.linspace(1.0, 2.0, g.n_points),
+                  np.linspace(3.0, 4.0, g.n_points)])
+    P = af.split_components(g, asg, U, [20, 40, 21])
+    assert np.array_equal(P[0][:21], U[0][:21]) and not P[0][21:].any()
+    assert np.array_equal(P[2][21:], U[0][21:]) and not P[2][:21].any()
+    assert np.array_equal(P[1], U[1])
+
+
+def test_component_centers_keep_the_reference_of_a_nonpositive_component():
+    # a component with no positive value shows no maxima to match, so its
+    # pulses keep their reference centers while the others move
+    g = af.build_grid(2, 257, 30.0)
+    r = g.nodes
+    asg = af.build_assignment((1, 2, 1))
+    U = np.array([np.exp(-((r - 5.0) ** 2)) + np.exp(-((r - 15.0) ** 2)),
+                  -np.exp(-((r - 10.0) ** 2))])
+    centers = af.solver.component_centers(g, asg, U, [1, 2, 3])
+    assert centers == [int(np.argmax(U[0][:100])), 2,
+                       100 + int(np.argmax(U[0][100:]))]
+    assert af.solver.component_centers(g, asg, np.zeros_like(U), [1, 2, 3]) == [1, 2, 3]
+
+
 def _centers_loop(assignment, U, reference):
     # the node-by-node scan component_centers used before numpy
     centers = list(reference)
@@ -128,19 +155,34 @@ def test_component_centers_match_the_node_scan(guess_h2, rng):
             == _centers_loop(a2, U, [0, 0]))
 
 
-def test_newton_from_perturbed_single_field(grid_n1, soliton_profile):
-    U0 = 1.05 * np.array([soliton_profile.bumps[0]], dtype=float)
+def _newton_history(grid, beta, U0, monkeypatch):
+    """coupled_newton from U0 and the max-norm residual of its start and
+    of every accepted step: those at which it factors the Jacobian, then
+    the one it returns."""
+    real = af.solver._jacobian_solver
     hist = []
-    U, resid, iters = af.coupled_newton(grid_n1, 0.0, U0, history=hist)
+
+    def spy(grid, beta, U):
+        hist.append(float(np.max(np.abs(af.residual_components(grid, beta, U)))))
+        return real(grid, beta, U)
+
+    monkeypatch.setattr(af.solver, "_jacobian_solver", spy)
+    U, resid, iters = af.coupled_newton(grid, beta, U0)
+    return U, resid, iters, hist + [resid]
+
+
+def test_newton_from_perturbed_single_field(grid_n1, soliton_profile, monkeypatch):
+    U0 = 1.05 * np.array([soliton_profile.bumps[0]], dtype=float)
+    U, resid, iters, hist = _newton_history(grid_n1, 0.0, U0, monkeypatch)
     assert resid < 1e-10
     assert iters <= 8
+    assert len(hist) == iters + 1
     assert hist[0] > 1e-2 > hist[-1]
 
 
-def test_newton_quadratic_tail(grid_n1, soliton_profile):
+def test_newton_quadratic_tail(grid_n1, soliton_profile, monkeypatch):
     U0 = 1.10 * np.array([soliton_profile.bumps[0]], dtype=float)
-    hist = []
-    af.coupled_newton(grid_n1, 0.0, U0, history=hist)
+    *_, hist = _newton_history(grid_n1, 0.0, U0, monkeypatch)
     pairs = [
         (a, b) for a, b in zip(hist, hist[1:]) if 1e-8 < a < 1e-2
     ]
@@ -316,13 +358,13 @@ def test_walk_stall_fails_only_the_stages_beyond_it(profile_h2, assignment_h2,
 def test_tangent_predictor_is_first_order(guess_h2):
     g = guess_h2.grid
     beta = 1000.0
-    U, res, _ = af.coupled_newton(g, beta, guess_h2.components(), maxit=120)
+    U, res, _ = af.coupled_newton(g, beta, guess_h2.components())
     assert res < 1e-10
     tangent = af.solver._tangent(g, beta, U)
     errors = []
     for step in (-0.2, -0.1):
         pred = U + step * tangent
-        V, res, _ = af.coupled_newton(g, beta * 10.0**step, pred, maxit=120)
+        V, res, _ = af.coupled_newton(g, beta * 10.0**step, pred)
         assert res < 1e-10
         errors.append(np.max(np.abs(V - pred)))
     assert errors[1] > 1e-8
@@ -337,18 +379,18 @@ def test_hermite_predictor_is_third_order(guess_h2):
     # Hermite error is 1.9 % and 0.8 % of the tangent line's
     g = guess_h2.grid
     beta, h = 1000.0, 0.1
-    U, res, _ = af.coupled_newton(g, beta, guess_h2.components(), maxit=120)
+    U, res, _ = af.coupled_newton(g, beta, guess_h2.components())
     assert res < 1e-10
     tangent = af.solver._tangent(g, beta, U)
     b_prev = beta * 10.0**h
-    U_prev, res, _ = af.coupled_newton(g, b_prev, U + h * tangent, maxit=120)
+    U_prev, res, _ = af.coupled_newton(g, b_prev, U + h * tangent)
     assert res < 1e-10
     previous = (np.log10(b_prev), U_prev, af.solver._tangent(g, b_prev, U_prev))
     hermite = af.solver._predictor(np.log10(beta), U, tangent, previous)
     errors = []
     for step in (-0.2, -0.1):
         pred = hermite(step)
-        V, res, _ = af.coupled_newton(g, beta * 10.0**step, pred, maxit=120)
+        V, res, _ = af.coupled_newton(g, beta * 10.0**step, pred)
         assert res < 1e-10
         errors.append(np.max(np.abs(V - pred)))
         line = np.max(np.abs(V - (U + step * tangent)))
@@ -447,7 +489,7 @@ def test_walk_tangent_from_the_correctors_factors(guess_h2):
     # refinement with the Jacobian at the state leaves 1.3e-10 and 5.6e-10
     g = guess_h2.grid
     beta = 1000.0
-    U, res, _ = af.coupled_newton(g, beta, guess_h2.components(), maxit=120)
+    U, res, _ = af.coupled_newton(g, beta, guess_h2.components())
     tangent = af.solver._tangent(g, beta, U)
     for step in (-0.1, 0.1):
         b2 = beta * 10.0**step
@@ -465,7 +507,7 @@ def test_accepted_correction_takes_more_steps_than_factorizations(
     # test: measured 4 steps on 2 factorizations at both steps
     g = guess_h2.grid
     beta = 1000.0
-    U, _, _ = af.coupled_newton(g, beta, guess_h2.components(), maxit=120)
+    U, _, _ = af.coupled_newton(g, beta, guess_h2.components())
     tangent = af.solver._tangent(g, beta, U)
     real_residual = af.solver.residual_components
     real_factor = af.solver._jacobian_solver
@@ -543,7 +585,7 @@ def test_walked_strong_coupling_residual_equals_the_per_component_loop(
     profile, assignment = sweep_dense_profile
     g = profile.grid
     guess = af.initial_guess(profile, assignment)
-    U, _, _ = af.coupled_newton(g, 1e4, guess.components(), maxit=120)
+    U, _, _ = af.coupled_newton(g, 1e4, guess.components())
     [U], _ = af.solver._walk_beta(g, U, 1e4, [5e3])
     [U], reached = af.solver._walk_beta(g, U, 5e3, [1e4])
     assert reached == 1e4
@@ -557,7 +599,7 @@ def test_walk_factors_only_its_first_tangent_outside_the_corrector(
     # every accepted trial hands its last factors to the next tangent, so
     # the walk factors once at its start and otherwise only in `_correct`
     g = guess_h2.grid
-    U, _, _ = af.coupled_newton(g, 1000.0, guess_h2.components(), maxit=120)
+    U, _, _ = af.coupled_newton(g, 1000.0, guess_h2.components())
     real_factor, real_correct = af.solver._jacobian_solver, af.solver._correct
     outside, inside = [], []
     in_correct = []
@@ -593,7 +635,7 @@ def test_sweep_anchor_damping_is_predicted(sweep_dense_profile):
     profile, assignment = sweep_dense_profile
     g = profile.grid
     guess = af.initial_guess(profile, assignment)
-    U, res, steps = af.coupled_newton(g, 1e4, guess.components(), maxit=120)
+    U, res, steps = af.coupled_newton(g, 1e4, guess.components())
     assert af.solver._converged(g, 1e4, U, af.residual_components(g, 1e4, U))
     assert steps <= 65
 
@@ -651,7 +693,7 @@ def test_strong_coupling_powers_match_pow():
     guess = af.initial_guess(af.compute_c_infinity(g, 3),
                              af.build_assignment((1, 2, 1)))
     beta = 1e4
-    U, _, _ = af.coupled_newton(g, beta, guess.components(), maxit=120)
+    U, _, _ = af.coupled_newton(g, beta, guess.components())
     tiny = np.finfo(float).tiny
     for p in (3, 4):
         assert ((np.abs(U) ** p < tiny) & (U ** p != 0.0)).any()
@@ -718,8 +760,44 @@ def test_anchor_levels_keep_four_nodes_per_layer_scale(
     # the nested state is the one-level state (1.0e-12 measured)
     profile, assignment = sweep_ref_profile
     K = af.initial_guess(profile, assignment).components()
-    U, _, _ = af.coupled_newton(profile.grid, 1e4, K, maxit=120)
+    U, _, _ = af.coupled_newton(profile.grid, 1e4, K)
     assert np.max(np.abs(solves[-1][1] - U)) < 5e-12
+
+
+def _anchor_residuals(profile, assignment, monkeypatch):
+    """Residual evaluations of a beta = 1e4 continuation inside its
+    coupled_newton solves and outside them, and the number of solves."""
+    real_newton, real_residual = af.solver.coupled_newton, af.residual_components
+    counts, depth = {"inside": 0, "outside": 0, "solves": 0}, [0]
+
+    def newton_spy(*args, **kwargs):
+        counts["solves"] += 1
+        depth[0] += 1
+        try:
+            return real_newton(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def residual_spy(*args):
+        counts["inside" if depth[0] else "outside"] += 1
+        return real_residual(*args)
+
+    monkeypatch.setattr("artifact.solver.coupled_newton", newton_spy)
+    monkeypatch.setattr("artifact.solver.residual_components", residual_spy)
+    af.continuation(profile, assignment, af.SolverConfig(beta_schedule=(1e4,)))
+    monkeypatch.undo()
+    return counts
+
+
+def test_anchor_levels_are_judged_without_a_residual_of_their_own(
+        sweep_dense_profile, sweep_ref_profile, monkeypatch):
+    # coupled_newton returns the residual of each anchor level's state,
+    # so grid.accepts judges the level without evaluating it again: the
+    # one residual outside the solves is _certify's, on the stage state
+    for fixture, levels in ((sweep_dense_profile, 1), (sweep_ref_profile, 2)):
+        counts = _anchor_residuals(*fixture, monkeypatch)
+        assert counts["solves"] == levels
+        assert counts["outside"] == 1 and counts["inside"] > levels
 
 
 def test_anchor_converges_where_damped_newton_from_the_guess_stalls():
