@@ -6,6 +6,7 @@ component must receive at least one bump.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import AdjacentRepeat, ConfigError, NotSurjective
@@ -23,9 +24,10 @@ def build_assignment(sigma) -> Assignment:
     if len(sig) == 0:
         raise ConfigError("sigma must be nonempty")
     for entry in sig:
-        # JSON true is the integer 1 to int() and ==
-        if isinstance(entry, bool) or int(entry) != entry or entry < 1:
-            raise ConfigError(f"sigma entries must be positive integers, got {entry}")
+        # True is an Integral equal to 1; numpy integers are Integrals too
+        if (not isinstance(entry, numbers.Integral) or isinstance(entry, bool)
+                or entry < 1):
+            raise ConfigError(f"sigma entries must be positive integers, got {entry!r}")
     sig = [int(x) for x in sig]
     k = max(sig)
     for l in range(len(sig) - 1):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import numbers
 import os
 import sys
 import time
@@ -28,9 +27,10 @@ import numpy as np
 from .assignment import Assignment, build_assignment
 from .diagnostics import build_report, write_sweep_csv
 from .errors import ConfigError, SolveError, StageFailure
-from .grid import build_grid
+from .grid import _check_grid, build_grid
 from .nehari import PulseEnsemble, maximize_phi
-from .scalar import NEHARI_TOL, NodalProfile, bump_constants, compute_c_infinity
+from .scalar import (NEHARI_TOL, NodalProfile, _check_h, bump_constants,
+                     compute_c_infinity)
 from .solver import (
     SolverConfig,
     continuation,
@@ -38,11 +38,6 @@ from .solver import (
     newton_refine,
     residual_components,
 )
-
-
-def _is_int(x) -> bool:
-    # JSON true and false are ints to isinstance
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass
@@ -59,24 +54,16 @@ class ExperimentConfig:
     tol_nehari: ClassVar[float] = NEHARI_TOL
 
     def __post_init__(self) -> None:
-        for name in ("dimension", "n_points", "h"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
-        if not isinstance(self.r_max, numbers.Real) or isinstance(self.r_max, bool):
-            raise ConfigError(f"r_max must be a number, got {self.r_max!r}")
+        # the library's own checks, before any run directory exists
+        _check_grid(self.dimension, self.n_points, self.r_max)
+        _check_h(self.h)
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
-        if self.dimension not in (1, 2, 3):
-            raise ConfigError("dimension must be 1, 2 or 3")
-        if self.n_points < 16:
-            raise ConfigError("n_points must be at least 16")
-        if not 0 < self.r_max < np.inf:
-            raise ConfigError("r_max must be positive and finite")
-        if self.h < 1:
-            raise ConfigError("h must be at least 1")
-        if not all(_is_int(s) for s in self.sigma):
-            raise ConfigError(f"sigma entries must be integers, got {self.sigma}")
-        self.sigma = tuple(self.sigma)
+        self.sigma = build_assignment(self.sigma).sigma
+        # numpy numbers pass the checks but not json.dump
+        for name in ("dimension", "n_points", "h"):
+            setattr(self, name, int(getattr(self, name)))
+        self.r_max = float(self.r_max)
         # SolverConfig checks the schedule
         self.beta_schedule = self.solver_config().beta_schedule
 

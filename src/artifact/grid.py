@@ -97,10 +97,8 @@ class RadialGrid:
         return SPHERE_MEASURE[self.dimension]
 
 
-def build_grid(dimension: int, n_points: int = 4096, r_max: float = 40.0) -> RadialGrid:
-    """Construct the uniform radial grid with n_points nodes on [0, r_max]:
-    ``flux_form`` on the nodes below r_max, as a ball cell, then the half
-    mass and the identity row (Dirichlet) of the node at r_max."""
+def _check_grid(dimension, n_points, r_max) -> None:
+    """Raise ConfigError unless `build_grid` can take these arguments."""
     # True is an Integral equal to 1; numpy integers are Integrals too
     if (not isinstance(dimension, numbers.Integral) or dimension is True
             or dimension not in (1, 2, 3)):
@@ -112,6 +110,13 @@ def build_grid(dimension: int, n_points: int = 4096, r_max: float = 40.0) -> Rad
     if (not isinstance(r_max, numbers.Real) or isinstance(r_max, bool)
             or not 0 < r_max < np.inf):
         raise ConfigError(f"r_max must be positive and finite, got {r_max!r}")
+
+
+def build_grid(dimension: int, n_points: int = 4096, r_max: float = 40.0) -> RadialGrid:
+    """Construct the uniform radial grid with n_points nodes on [0, r_max]:
+    ``flux_form`` on the nodes below r_max, as a ball cell, then the half
+    mass and the identity row (Dirichlet) of the node at r_max."""
+    _check_grid(dimension, n_points, r_max)
     n = int(n_points)
     r = np.linspace(0.0, float(r_max), n)
     dr = r[1] - r[0]

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .assignment import Assignment
 from .errors import (
@@ -44,6 +43,8 @@ from .errors import (
 )
 from .grid import (
     RadialGrid,
+    _check_finite,
+    _check_info,
     accepts,
     apply_tridiag,
     build_grid,
@@ -152,18 +153,15 @@ def pulse_distance(ensemble: PulseEnsemble, profile: NodalProfile) -> float:
     return float(np.sqrt(total))
 
 
-def _cross_sq(U: np.ndarray, sq: Optional[np.ndarray] = None) -> np.ndarray:
-    """T_i = sum_{j != i} sq_j for each component, shape (k, n), with
-    sq = U**2 unless the caller has it already (`_jacobian_apply` passes
-    the products U_j X_j).
+def _cross_sq(U: np.ndarray) -> np.ndarray:
+    """T_i = sum_{j != i} U_j^2 for each component, shape (k, n).
 
     Each T_i is summed from zero in ascending j, one whole-array add per
     j, rather than as S - U_i^2 with S = sum_j U_j^2: the shortcut
     cancels where U_i dominates.  On the reference sweep's anchor state
     at beta = 1e7 it moves the residual by 1.3e-9, 13 times NEWTON_TOL.
     """
-    if sq is None:
-        sq = U**2
+    sq = U**2
     k = len(sq)
     T = np.zeros_like(sq)
     for j in range(k):
@@ -180,7 +178,7 @@ def residual_components(grid: RadialGrid, beta: float, U: np.ndarray) -> np.ndar
 
 
 def component_centers(grid: RadialGrid, assignment: Assignment, U: np.ndarray,
-                      reference=None):
+                      reference):
     """Per-pulse center indices read off the current component fields.
 
     For each component the tallest local maxima (the origin counts as
@@ -188,14 +186,11 @@ def component_centers(grid: RadialGrid, assignment: Assignment, U: np.ndarray,
     fewer maxima than pulses keep the reference centers, so a dissolving
     state degrades instead of producing sliver cuts.
     """
-    h = assignment.h
-    centers = list(reference) if reference is not None else [0] * h
+    centers = list(reference)
     for i in range(1, assignment.k + 1):
-        qs = [q for q in range(h) if assignment.sigma[q] == i]
+        qs = [q for q in range(assignment.h) if assignment.sigma[q] == i]
         u = U[i - 1]
         peak = float(u.max())
-        if peak <= 0:
-            continue
         # local maxima j < n - 1: above the left neighbour (the origin
         # has none), at least the right one, and above 1e-3 of the peak
         left = np.concatenate(([-np.inf], u[:-2]))
@@ -249,7 +244,7 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
     """
     k, n = U.shape
     sq = U**2
-    diag = grid.op_diag - 3 * sq + beta * _cross_sq(U, sq)
+    diag = grid.op_diag - 3 * sq + beta * _cross_sq(U)
     diag[:, -1] = 1.0  # identity row at r_max, whose op_lower entry is 0
     # band storage with k rows for fill-in on top: entry (p, q) sits in
     # row 2k + p - q, column q = k * node + component; row is the last axis
@@ -264,11 +259,9 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
             if j != i:
                 band[:, j, 2 * k + i - j] = C[i, j]
     ab = band.reshape(n * k, 3 * k + 1).T
-    if not np.isfinite(ab).all():
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(ab)
     lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=1)
-    if info > 0:
-        raise LinAlgError("singular matrix")
+    _check_info(info)
 
     def solve(F):
         # flatten always copies, so gbtrs may overwrite its argument
@@ -276,18 +269,6 @@ def _jacobian_solver(grid: RadialGrid, beta: float, U: np.ndarray):
         return x.reshape(n, k).T
 
     return solve
-
-
-def _jacobian_apply(grid: RadialGrid, beta: float, U: np.ndarray,
-                    X: np.ndarray) -> np.ndarray:
-    """J X for the Jacobian J of `residual_components` at U, applied
-    without factoring it; the bands are those of `_jacobian_solver`."""
-    sq = U**2
-    Y = (apply_tridiag(grid.op_lower, grid.op_diag, grid.op_upper, X)
-         + (beta * _cross_sq(U, sq) - 3 * sq) * X
-         + 2 * beta * U * _cross_sq(U, U * X))
-    Y[:, -1] = X[:, -1]  # identity row at r_max
-    return Y
 
 
 def _row_terms(grid: RadialGrid, beta: float):
@@ -483,19 +464,17 @@ def newton_refine(beta: float, ensemble: PulseEnsemble,
 def _tangent(grid: RadialGrid, beta: float, U: np.ndarray,
              solve=None) -> np.ndarray:
     """Branch tangent dU/dlog10(beta) = -J^{-1} dF/dlog10(beta) at a
-    converged state: one solve, after one factorization at U unless
-    `solve` brings factors of its own.  The walk passes the factors of
-    its corrector's last factorization, taken up to two Newton steps
-    before U: their solve T errs by the order of those steps, so one step
-    of iterative refinement, T + solve(-dF - J(U) T) with J(U) applied by
-    `_jacobian_apply`, squares that error.
+    converged state: one solve, on the factors `solve` brings or after
+    one factorization at U.  The walk passes the factors of its
+    corrector's last factorization, taken up to two Newton steps before
+    U, so the tangent errs by the order of those steps, which the
+    corrector removes: refining it with a second solve saved no time.
     """
     dF = np.log(10.0) * beta * U * _cross_sq(U)
     dF[:, -1] = 0.0
     if solve is None:
-        return _jacobian_solver(grid, beta, U)(-dF)
-    T = solve(-dF)
-    return T + solve(-dF - _jacobian_apply(grid, beta, U, T))
+        solve = _jacobian_solver(grid, beta, U)
+    return solve(-dF)
 
 
 def _correct(grid: RadialGrid, beta: float, U: np.ndarray):

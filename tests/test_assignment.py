@@ -23,9 +23,11 @@ def test_gap_in_components_rejected():
         af.build_assignment((1, 3, 1))
 
 
-# (True, 2) and the like used to pass as (1, 2): True == int(True) == 1
+# (True, 2) and the like used to pass as (1, 2): True == int(True) == 1;
+# "x", None, [1] and nan raised a bare ValueError or TypeError from int()
 @pytest.mark.parametrize("sigma", [(), (0, 1), (1, -2), (1, 2.5), (True, 2),
-                                   (2, True), (1, 2, True, 2)])
+                                   (2, True), (1, 2, True, 2), (1, "x"),
+                                   (1, None), (1, [1]), (1, float("nan"))])
 def test_malformed_sigma_rejected(sigma):
     with pytest.raises(af.ConfigError):
         af.build_assignment(sigma)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -278,7 +279,6 @@ def test_lapack_comes_without_the_scipy_linalg_package():
         assert af.solver.dgbtrf is scipy.linalg.lapack.dgbtrf
         assert af.solver.dgbtrs is scipy.linalg.lapack.dgbtrs
         assert af.grid.LinAlgError is scipy.linalg.LinAlgError
-        assert af.solver.LinAlgError is scipy.linalg.LinAlgError
     """)
 
 
@@ -587,10 +587,11 @@ def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, entry):
 
 
 @pytest.mark.parametrize("entry, message",
-                         [({"n_points": 8}, "n_points must be at least 16"),
+                         [({"n_points": 8}, "n_points must be at least 16, got 8"),
                           ({"output_dir": 5}, "output_dir must be a string"),
-                          ({"r_max": "40"}, "r_max must be a number, got '40'"),
-                          ({"dimension": 4}, "dimension must be 1, 2 or 3")],
+                          ({"r_max": "40"},
+                           "r_max must be positive and finite, got '40'"),
+                          ({"dimension": 4}, "dimension must be 1, 2 or 3, got 4")],
                          ids=["n_points-range", "output_dir-type", "r_max-type",
                               "dimension-range"])
 def test_config_checks_keep_their_own_message(tmp_path, capsys, entry, message):
@@ -603,6 +604,97 @@ def test_config_checks_keep_their_own_message(tmp_path, capsys, entry, message):
     assert rc == 2 and len(err.splitlines()) == 1
     blob = json.loads(err)
     assert blob["error"] == "config" and blob["message"] == message
+
+
+def test_numpy_numbers_round_trip_through_the_config_file(tmp_path):
+    # build_grid takes numpy numbers; the config stores Python ones, so
+    # that config.json is written
+    cfg = cli.ExperimentConfig(
+        dimension=np.int64(1), n_points=np.int32(513), r_max=np.float32(16.0),
+        h=np.int64(2), sigma=(np.int64(1), np.int64(2)),
+        output_dir=str(tmp_path),
+    )
+    path = tmp_path / "config.json"
+    cli.save_config(cfg, path)
+    back = cli.load_config(path)
+    assert back == cfg
+    for value in (back.dimension, back.n_points, back.h, *back.sigma):
+        assert type(value) is int
+    assert type(back.r_max) is float
+
+
+def _one_json_line(err, kind):
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    blob = json.loads(lines[0])
+    assert blob["error"] == kind
+    return blob["message"]
+
+
+@pytest.mark.parametrize("content, named", [(None, "cannot read config"),
+                                            ("[1, 2]", "JSON object")],
+                         ids=["missing", "not-an-object"])
+def test_config_file_that_holds_no_config(tmp_path, capsys, content, named):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    rc, out, err = run_cli(["scalar", "--config", str(path),
+                            "--out", str(tmp_path / "runs")], capsys)
+    assert rc == 2 and named in _one_json_line(err, "config")
+    assert not os.path.exists(tmp_path / "runs")
+
+
+SMALL_RUN = ["--dim", "1", "--n-points", "513", "--r-max", "16", "--h", "1",
+             "--sigma", "1"]
+
+
+def test_report_needs_a_stored_profile(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    cli.save_config(cli.ExperimentConfig(output_dir=str(tmp_path)),
+                    run / "config.json")
+    rc, out, err = run_cli(["report", "--run", str(run)], capsys)
+    assert rc == 2 and "no stored profile" in _one_json_line(err, "config")
+
+
+def test_report_needs_pulse_data(tmp_path, capsys):
+    # a scalar run stores the config and the profile, but no stage
+    rc, out, _ = run_cli(["scalar", *SMALL_RUN, "--out", str(tmp_path),
+                          "--label", "s"], capsys)
+    assert rc == 0
+    rc, out, err = run_cli(["report", "--run", str(tmp_path / "s")], capsys)
+    assert rc == 2 and "no pulse data" in _one_json_line(err, "config")
+
+
+@pytest.fixture()
+def no_stage_accepted(monkeypatch):
+    # a continuation whose one stage fails, as a StageFailure warning
+    def continuation(profile, assignment, config):
+        warnings.warn("stage beta=10 failed: stub", af.StageFailure)
+        return []
+
+    monkeypatch.setattr("artifact.cli.continuation", continuation)
+
+
+def test_solve_without_an_accepted_stage_exits_3(tmp_path, capsys,
+                                                 no_stage_accepted):
+    rc, out, err = run_cli(["solve", "--beta", "10", *SMALL_RUN,
+                            "--out", str(tmp_path), "--label", "s"], capsys)
+    assert rc == 3
+    assert _one_json_line(err, "solver") == "stage beta=10 failed: stub"
+    assert not glob.glob(str(tmp_path / "s" / "record_beta*"))
+
+
+def test_sweep_without_an_accepted_stage_exits_3(tmp_path, capsys,
+                                                 no_stage_accepted):
+    rc, out, err = run_cli(["sweep", "--beta-schedule", "10", *SMALL_RUN,
+                            "--out", str(tmp_path), "--label", "s"], capsys)
+    assert rc == 3
+    assert "no continuation stage" in _one_json_line(err, "solver")
+    run = tmp_path / "s"
+    assert (run / "failures.log").read_text() == "stage beta=10 failed: stub\n"
+    [header] = (run / "sweep.csv").read_text().splitlines()
+    assert header == ",".join(af.diagnostics.SWEEP_COLUMNS)
 
 
 def test_config_type_errors_keep_their_prefix(tmp_path):

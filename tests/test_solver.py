@@ -482,22 +482,54 @@ def test_jacobian_solver_rejects_an_overflowing_square(k):
         af.solver._jacobian_solver(g, 1.0, U)
 
 
-def test_walk_tangent_from_the_correctors_factors(guess_h2):
-    # the factors of the corrector's last factorization, up to two Newton
-    # steps before the converged state, solve for the tangent there to
-    # the order of those steps (4.8e-5 and 1.0e-4 relative); one step of
-    # refinement with the Jacobian at the state leaves 1.3e-10 and 5.6e-10
+def test_tangent_makes_one_solve(guess_h2, monkeypatch):
+    # one solve of -dF/dlog10(beta), on the factors it is handed or after
+    # one factorization at the state; no refinement step follows
     g = guess_h2.grid
     beta = 1000.0
-    U, res, _ = af.coupled_newton(g, beta, guess_h2.components())
-    tangent = af.solver._tangent(g, beta, U)
-    for step in (-0.1, 0.1):
-        b2 = beta * 10.0**step
-        V, solve = af.solver._correct(g, b2, U + step * tangent)
-        assert solve is not None
-        reused = af.solver._tangent(g, b2, V, solve)
-        fresh = af.solver._tangent(g, b2, V)
-        assert np.max(np.abs(reused - fresh)) < 1e-6 * np.max(np.abs(fresh))
+    U, _, _ = af.coupled_newton(g, beta, guess_h2.components())
+    real_factor = af.solver._jacobian_solver
+    factors, solves = [], []
+
+    def counted(solve):
+        def wrapped(F):
+            solves.append(1)
+            return solve(F)
+        return wrapped
+
+    def factor(*args):
+        factors.append(1)
+        return counted(real_factor(*args))
+
+    monkeypatch.setattr("artifact.solver._jacobian_solver", factor)
+    fresh = af.solver._tangent(g, beta, U)
+    assert (len(factors), len(solves)) == (1, 1)
+    reused = af.solver._tangent(g, beta, U, counted(real_factor(g, beta, U)))
+    assert (len(factors), len(solves)) == (1, 2)
+    assert np.array_equal(reused, fresh)
+
+
+@pytest.mark.parametrize("n", [513, 1025, 2049])
+def test_walk_tangents_on_the_correctors_factors_give_the_fresh_stages(
+        n, monkeypatch):
+    # a tangent on the factors up to two Newton steps before its state
+    # errs by the order of those steps, which the corrector removes: every
+    # stage matches a walk whose tangents are all factored at their states,
+    # measured within 5.1e-16 relative in energy and 8.7e-13 in the pulses
+    g = af.build_grid(2, n, 30.0)
+    profile = af.compute_c_infinity(g, 3)
+    assignment = af.build_assignment((1, 2, 1))
+    cfg = af.SolverConfig(beta_schedule=(2.0, 10.0, 100.0, 1e3, 1e4, 1e5))
+    reused = af.continuation(profile, assignment, cfg)
+    real_tangent = af.solver._tangent
+    monkeypatch.setattr("artifact.solver._tangent",
+                        lambda grid, beta, U, solve=None: real_tangent(grid, beta, U))
+    fresh = af.continuation(profile, assignment, cfg)
+    assert [r.beta for r in reused] == [r.beta for r in fresh] == list(cfg.beta_schedule)
+    for a, b in zip(reused, fresh):
+        assert a.accepted and b.accepted
+        assert abs(a.energy - b.energy) <= 2e-15 * abs(b.energy)
+        assert np.max(np.abs(a.ensemble.pulses - b.ensemble.pulses)) <= 5e-12
 
 
 def test_accepted_correction_takes_more_steps_than_factorizations(
@@ -530,30 +562,6 @@ def test_accepted_correction_takes_more_steps_than_factorizations(
                                   U + step * tangent) is not None
         # one residual at the prediction, then one after every step
         assert len(residuals) - 1 > len(factors) >= 1
-
-
-def _banded_product(k, ab, x):
-    """The solve_banded((k, k))-layout matrix ab times x."""
-    y = np.zeros_like(x)
-    for d in range(-k, k + 1):
-        # row k - d holds the entries (p, p + d) at column p + d
-        if d >= 0:
-            y[: len(x) - d] += ab[k - d, d:] * x[d:]
-        else:
-            y[-d:] += ab[k - d, : len(x) + d] * x[: len(x) + d]
-    return y
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_jacobian_apply_matches_the_banded_product(k, rng):
-    g = af.build_grid(2, 257, 20.0)
-    for beta in (0.0, 3.0, 1e4):
-        U = _bump_states(g, k, rng)
-        ab = _jacobian_bands_loop(g, beta, U)
-        X = rng.standard_normal(U.shape)
-        ref = _banded_product(k, ab, X.T.reshape(-1)).reshape(g.n_points, k).T
-        Y = af.solver._jacobian_apply(g, beta, U, X)
-        assert np.max(np.abs(Y - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _residual_loop(grid, beta, U):
@@ -644,7 +652,7 @@ def test_sweep_walk_factorizations(sweep_dense_profile, monkeypatch):
     # one continuation over the 13-stage benchmark sweep, anchor included:
     # 242 Jacobian factorizations with the tangent predictor, 149 with the
     # cubic Hermite one, 116 when each factorization serves two corrector
-    # steps
+    # steps, and 119 once a reused tangent took one solve instead of two
     profile, assignment = sweep_dense_profile
     real_factor = af.solver._jacobian_solver
     count = []
