@@ -9,7 +9,12 @@ solved by nested iteration (W. Briggs, V. Henson and S. McCormick, A
 Multigrid Tutorial, 2000): on the coarsest halving of the grid that
 keeps four nodes per layer scale beta^(-1/4) first, then on each finer
 grid from the interpolated coarser state, because damped steps from the
-guess move the interface fronts by a fraction of a node each.  Plain
+guess move the interface fronts by a fraction of a node each.  The walk
+down runs on the anchor's half grid, and each stage it reaches is
+polished once on the grid (R. Bank and T. Chan, PLTMGC: a multi-grid
+continuation program, 1986); the grid itself is walked from a stage the
+half walk misses or whose polish fails, and above the anchor, where the
+layers narrow past the half grid's resolution.  Plain
 descent from the initial guess at weak coupling falls into the wrong
 basin, while the walk follows the branch.  Each walk step predicts by
 the cubic Hermite polynomial through the last two accepted states and
@@ -538,7 +543,7 @@ def _predictor(pos: float, U: np.ndarray, tangent: np.ndarray, previous):
     return lambda s: U + s * (tangent + s * (a + s * b))
 
 
-def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
+def _walk(grid: RadialGrid, U, b_from: float, targets):
     """Walk the branch from a converged state at b_from through targets.
 
     The targets are couplings in walking order, all on one side of
@@ -547,21 +552,19 @@ def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
     trial is accepted, trials predict by the cubic Hermite polynomial
     through the last two accepted states and their tangents, which costs
     no solve.  A continuation over the 13-stage benchmark sweep, anchor
-    included, takes 242 factorizations with the tangent predictor, 149
-    with the Hermite one, and 116 with two corrector steps per
-    factorization (the walk's 91 fall to 58; on the reference sweep 157
-    fall to 116, the walk's 93 to 52, and to 96 once its anchor is
-    nested, 44 steps against 64, see `continuation`).  The log-coupling
-    step grows by 1.7 after an accepted trial and shrinks by 0.35 after a
-    rejected one, and every segment between targets starts at 0.25
-    decade or less.  The tangent at an accepted state reuses the factors
-    the corrector returned with it, so only the tangent at b_from costs a
-    factorization of its own.  Returns the converged states at the
-    targets reached, in order, and the coupling reached: the walk stops
+    included, takes 119 factorizations, where the tangent predictor took
+    242 and one corrector step per factorization 149; the reference
+    sweep's takes 14 on its grid and 91 on the half grid that its walk
+    down runs on (see `continuation`).  The log-coupling step grows by
+    1.7 after an accepted trial and shrinks by 0.35 after a rejected
+    one, and every segment between targets starts at 0.25 decade or
+    less.  The tangent at an accepted state reuses the factors the
+    corrector returned with it, so only the tangent at b_from costs a
+    factorization of its own.  Yields the converged state at each target
+    reached, in order, and returns the coupling reached: the walk stops
     short when the step falls under 1e-4 decade or after 400 trials
     (corrector calls).
     """
-    states = []
     pos = np.log10(b_from)
     tangent = factors = previous = None
     trials = 0
@@ -585,9 +588,46 @@ def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
             else:
                 step *= 0.35
                 if abs(step) < 1e-4 or trials >= 400:
-                    return states, 10.0**pos
-        states.append(U)
-    return states, 10.0**pos
+                    return 10.0**pos
+        yield U
+    return 10.0**pos
+
+
+def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
+    """The states `_walk` yields, in a list, and the coupling it reached."""
+    states, walk = [], _walk(grid, U, b_from, targets)
+    while True:
+        try:
+            states.append(next(walk))
+        except StopIteration as stop:
+            return states, stop.value
+
+
+def _walk_polished(grid: RadialGrid, U, b_from: float, targets, coarse):
+    """`_walk_beta`'s (states, reached) on grid, walked on coarse = (level,
+    the state at b_from there) unless it is None: each target `_walk`
+    reaches on level is interpolated onto grid and polished by one
+    `_correct` before the walk goes on; a target at b_from keeps U.
+    From the first target missed or whose polish is rejected,
+    `_walk_beta` walks grid from its last state."""
+    states = []
+    if coarse is not None:
+        level, V = coarse
+        for beta, W in zip(targets, _walk(level, V, b_from, targets)):
+            if beta != b_from:
+                polished = _correct(grid, beta, _prolong(grid, level, W))
+                if polished is None:
+                    break
+                # drop the polish's factors before the next one is made
+                U, b_from, polished = polished[0], beta, None
+            states.append(U)
+    walked, reached = _walk_beta(grid, U, b_from, targets[len(states):])
+    return states + walked, reached
+
+
+def _prolong(grid: RadialGrid, level: RadialGrid, V: np.ndarray) -> np.ndarray:
+    """The components of V on level, interpolated linearly onto grid."""
+    return np.array([np.interp(grid.nodes, level.nodes, v) for v in V])
 
 
 def continuation(profile: NodalProfile, assignment: Assignment,
@@ -619,6 +659,16 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     on (2, 16385, 30) the finest level stops at 6.2e-10 against a bound
     of 5.0e-9.  Only the finest level's verdict decides.
 
+    When the level that halves the grid converged, the walk down runs on
+    it, and each stage it reaches is polished on the grid by one
+    `_correct` (`_walk_polished`), whose factorization costs about two
+    of the half grid's: the reference sweep takes 14 factorizations on
+    its grid and 91 on the half grid, where walking the grid took 57 and
+    39, and its stages agree within 2.6e-16 relative in energy.  From a
+    stage the half walk misses, as beyond a fold of its branch, or whose
+    polish is rejected, the grid is walked as before.  The walk up stays
+    on the grid: its layers narrow below the half grid's four nodes.
+
     A failed stage, including one beyond a walk stall, is reported as a
     `StageFailure` warning naming its cause and is absent from the
     records; the other stages are unaffected.  An anchor whose finest
@@ -641,18 +691,20 @@ def continuation(profile: NodalProfile, assignment: Assignment,
         m = (m - 1) // 2 + 1
     source, start = grid, K
     for level in levels:
+        # after the loop: the converged half-grid level and state, or None
+        half = (source, start) if source is not grid else None
         if level is not source:
-            start = np.array([np.interp(level.nodes, source.nodes, u)
-                              for u in start])
+            start = _prolong(level, source, start)
         U, res, _ = coupled_newton(level, anchor, start)
         ok = accepts(res, NEWTON_TOL, _row_terms(level, anchor), U)
         source, start = (level, U) if ok else (grid, K)
     if not ok:
         raise NewtonDivergence(f"anchor solve stalled at residual {res:.2e}")
     states, stalls = {}, {}
-    for targets in ([b for b in reversed(schedule) if b <= anchor],
-                    [b for b in schedule if b > anchor]):
-        walked, reached = _walk_beta(grid, U, anchor, targets)
+    for targets, coarse in (([b for b in reversed(schedule) if b <= anchor],
+                             half),
+                            ([b for b in schedule if b > anchor], None)):
+        walked, reached = _walk_polished(grid, U, anchor, targets, coarse)
         states.update(zip(targets, walked))
         for beta in targets[len(walked):]:
             stalls[beta] = NewtonDivergence(

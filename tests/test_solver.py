@@ -1,6 +1,7 @@
 """Coupled solver: descent of the maximized scaling energy, banded Newton,
 pulse re-extraction, and the staged continuation driver."""
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -808,12 +809,18 @@ def test_anchor_levels_are_judged_without_a_residual_of_their_own(
         assert counts["outside"] == 1 and counts["inside"] > levels
 
 
-def test_anchor_converges_where_damped_newton_from_the_guess_stalls():
+@pytest.fixture(scope="module")
+def ball_profile():
+    # (3, 2049, 20) with four bumps over three components
+    g = af.build_grid(3, 2049, 20.0)
+    return af.compute_c_infinity(g, 4), af.build_assignment((1, 2, 3, 1))
+
+
+def test_anchor_converges_where_damped_newton_from_the_guess_stalls(
+        ball_profile):
     # on (3, 2049, 20) damped Newton from the segregated guess stalls at
     # residual 2.54; from the converged 1025-node state it converges
-    g = af.build_grid(3, 2049, 20.0)
-    profile = af.compute_c_infinity(g, 4)
-    recs = af.continuation(profile, af.build_assignment((1, 2, 3, 1)),
+    recs = af.continuation(*ball_profile,
                            af.SolverConfig(beta_schedule=(1e4,)))
     assert [r.beta for r in recs] == [1e4]
     assert recs[0].accepted
@@ -830,3 +837,128 @@ def test_anchor_level_accepts_a_stall_at_the_normwise_roundoff(monkeypatch):
     _, U, res = solves[-1]
     assert not af.solver._converged(g, 1e4, U, af.residual_components(g, 1e4, U))
     assert res < af.grid.ROUNDOFF * af.solver._row_terms(g, 1e4)(U)[0]
+
+
+def _walked_stages(profile, assignment, schedule, monkeypatch):
+    """One continuation over the schedule: its records, its stage failure
+    messages, the walked state of each certified stage, the finest anchor
+    state, and the Jacobian factorizations per grid size.  It undoes every
+    monkeypatch afterwards, the caller's too."""
+    real_newton, real_certify = af.solver.coupled_newton, af.solver._certify
+    real_factor = af.solver._jacobian_solver
+    anchors, states, factors = [], {}, {}
+
+    def newton(grid, beta, U, **kwargs):
+        out = real_newton(grid, beta, U, **kwargs)
+        anchors.append(out[0])
+        return out
+
+    def certify(beta, grid, assignment, U, *args):
+        states[beta] = U
+        return real_certify(beta, grid, assignment, U, *args)
+
+    def factor(grid, beta, U):
+        factors[grid.n_points] = factors.get(grid.n_points, 0) + 1
+        return real_factor(grid, beta, U)
+
+    monkeypatch.setattr("artifact.solver.coupled_newton", newton)
+    monkeypatch.setattr("artifact.solver._certify", certify)
+    monkeypatch.setattr("artifact.solver._jacobian_solver", factor)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", af.StageFailure)
+        recs = af.continuation(profile, assignment,
+                               af.SolverConfig(beta_schedule=schedule))
+    monkeypatch.undo()
+    failures = [str(w.message) for w in caught
+                if issubclass(w.category, af.StageFailure)]
+    return recs, failures, states, anchors[-1], factors
+
+
+def _stage_energy(grid, beta, U):
+    """The energy `_certify` records for the walked state U."""
+    V = af.solver._picard_step(grid, beta, np.maximum(U, 0.0))
+    return af.coupled_energy(grid, beta, V)
+
+
+def test_reference_sweep_walks_down_on_the_half_grid(sweep_ref_profile,
+                                                     monkeypatch):
+    # the walk down runs on the anchor's 2049-node level and polishes
+    # each stage once on the 4097-node grid: 14 factorizations there
+    # (5 anchor, 9 polish) where the grid's own walk took 57, and the
+    # stages are that walk's within 9.6e-12 (states) and 2.6e-16
+    # (relative energies)
+    profile, assignment = sweep_ref_profile
+    g = profile.grid
+    schedule = (1.0, 10.0, 100.0, 1e3, 1e4)
+    recs, failures, states, anchor, factors = _walked_stages(
+        profile, assignment, schedule, monkeypatch)
+    assert [r.beta for r in recs] == [10.0, 100.0, 1e3, 1e4]
+    assert all(r.accepted for r in recs)
+    assert len(failures) == 1
+    assert failures[0].startswith("stage beta=1 failed: scaling saddle")
+    assert sorted(factors) == [2049, 4097] and factors[4097] <= 16
+    walked, reached = af.solver._walk_beta(g, anchor, 1e4, schedule[::-1])
+    assert reached == 1.0
+    walked = dict(zip(schedule[::-1], walked))
+    for rec in recs:
+        U = states[rec.beta]
+        assert np.max(np.abs(U - walked[rec.beta])) < 1e-10
+        energy = _stage_energy(g, rec.beta, walked[rec.beta])
+        assert abs(rec.energy - energy) <= 1e-14 * abs(energy)
+
+
+def test_rejected_polish_walks_the_grid_on(sweep_ref_profile, monkeypatch):
+    # the polish at beta = 100 is rejected, so the grid is walked from
+    # the polished beta = 1e3 state through 100, 10 and 1, and every
+    # stage is still accepted
+    profile, assignment = sweep_ref_profile
+    schedule = (1.0, 10.0, 100.0, 1e3, 1e4)
+    recs, _, _, _, _ = _walked_stages(profile, assignment, schedule,
+                                      monkeypatch)
+    real = af.solver._correct
+    rejected = []
+
+    def reject_first_polish(grid, beta, U):
+        if beta == 100.0 and grid.n_points == 4097 and not rejected:
+            rejected.append(beta)
+            return None
+        return real(grid, beta, U)
+
+    monkeypatch.setattr("artifact.solver._correct", reject_first_polish)
+    fallback, failures, _, _, factors = _walked_stages(
+        profile, assignment, schedule, monkeypatch)
+    assert rejected == [100.0]
+    assert factors[4097] > 16
+    assert [r.beta for r in fallback] == [r.beta for r in recs]
+    assert all(r.accepted for r in fallback)
+    assert [f.split(":")[0] for f in failures] == ["stage beta=1 failed"]
+    for a, b in zip(fallback, recs):
+        assert abs(a.energy - b.energy) <= 1e-14 * abs(b.energy)
+
+
+def test_half_walk_stalled_at_a_fold_walks_the_grid(ball_profile,
+                                                    monkeypatch):
+    # the 1025-node branch folds near beta = 6043, so the half walk
+    # reaches no stage below the anchor and the grid is walked from the
+    # anchor: every stage is the grid's walk bit for bit
+    profile, assignment = ball_profile
+    g = profile.grid
+    schedule = (1.0, 10.0, 100.0, 1e3, 1e4)
+    walks = []
+    real_walk = af.solver._walk
+
+    def walk(grid, U, b_from, targets):
+        walks.append(grid.n_points)
+        return real_walk(grid, U, b_from, targets)
+
+    monkeypatch.setattr("artifact.solver._walk", walk)
+    recs, failures, states, anchor, _ = _walked_stages(
+        profile, assignment, schedule, monkeypatch)
+    assert walks[:2] == [1025, 2049]
+    assert failures == []
+    assert [r.beta for r in recs] == list(schedule)
+    assert all(r.accepted for r in recs)
+    walked, reached = af.solver._walk_beta(g, anchor, 1e4, schedule[::-1])
+    assert reached == 1.0
+    for beta, W in zip(schedule[::-1], walked):
+        assert np.array_equal(states[beta], W)
