@@ -348,8 +348,8 @@ def cmd_sweep(args) -> int:
 
 
 # the JSON types of the profile.json values that report reads, bool excluded
-PROFILE_TYPES = {"dimension": int, "n_points": int, "h": int,
-                 "r_max": (int, float), "c_infinity": (int, float),
+# the grid's own values are checked by build_grid
+PROFILE_TYPES = {"h": int, "c_infinity": (int, float),
                  "node_radii": list, "energies": list}
 
 
@@ -368,21 +368,20 @@ def cmd_report(args) -> int:
         for key, kind in PROFILE_TYPES.items():
             value = meta[key]
             if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{jpath} key {key!r} holds a "
-                                  f"{type(value).__name__}")
+                raise ConfigError(f"key {key!r} holds a {type(value).__name__}")
         grid = build_grid(meta["dimension"], meta["n_points"], meta["r_max"])
-        profile = NodalProfile(
-            grid=grid,
-            h=meta["h"],
-            bumps=list(_read_columns(cpath, meta["h"])),
-            node_radii=tuple(meta["node_radii"]),
-            energies=tuple(meta["energies"]),
-            c_value=meta["c_infinity"],
-        )
     except KeyError as exc:
         raise ConfigError(f"{jpath} has no key {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, ConfigError) as exc:
         raise ConfigError(f"cannot read {jpath}: {exc}") from exc
+    profile = NodalProfile(
+        grid=grid,
+        h=meta["h"],
+        bumps=list(_read_columns(cpath, meta["h"])),
+        node_radii=tuple(meta["node_radii"]),
+        energies=tuple(meta["energies"]),
+        c_value=meta["c_infinity"],
+    )
     assignment = build_assignment(config.sigma)
     stages = []
     for name in os.listdir(run_dir):

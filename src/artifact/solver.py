@@ -291,14 +291,6 @@ def _row_terms(grid: RadialGrid, beta: float):
     return rows
 
 
-def _converged(grid: RadialGrid, beta: float, U: np.ndarray,
-               F: np.ndarray) -> bool:
-    """`grid.converged` for the residual F of the coupled system at U,
-    under NEWTON_TOL."""
-    return converged(F, float(np.max(np.abs(F))), NEWTON_TOL,
-                     _row_terms(grid, beta), U)
-
-
 def coupled_newton(grid: RadialGrid, beta: float, U: np.ndarray,
                    tol: float = NEWTON_TOL):
     """Damped banded Newton on the k-field system; returns (U, resid, iters)
@@ -495,15 +487,21 @@ def _correct(grid: RadialGrid, beta: float, U: np.ndarray):
     a second step (Shamanskii's method), and the next factorization is
     at U + dU + dV.  On the benchmark sweeps accepted trials take 3 to 7
     steps on 2 to 4 factorizations, and 20 bounds a slow contraction.
-    A state is converged under the stopping rule of `coupled_newton`
-    (`_converged`), checked after every step; a stall is no verdict here
+    A state is converged under the stopping rule of `coupled_newton`,
+    `grid.converged` under NEWTON_TOL on the row terms of one
+    `_row_terms`, checked after every step; a stall is no verdict here
     (`grid.accepts`), as the walk retries it with a shorter step.  The
     returned solve holds the Jacobian factors one or two steps before the
     state, for `_tangent`; it is None when the prediction was converged
     already.
     """
-    F = residual_components(grid, beta, U)
-    done = _converged(grid, beta, U, F)
+    rows = _row_terms(grid, beta)
+
+    def residual(V):
+        F = residual_components(grid, beta, V)
+        return F, converged(F, float(np.max(np.abs(F))), NEWTON_TOL, rows, V)
+
+    F, done = residual(U)
     solve = None
     for _ in range(20):
         if done:
@@ -511,15 +509,13 @@ def _correct(grid: RadialGrid, beta: float, U: np.ndarray):
         solve = _jacobian_solver(grid, beta, U)
         dU = solve(-F)
         U = U + dU
-        F = residual_components(grid, beta, U)
-        done = _converged(grid, beta, U, F)
+        F, done = residual(U)
         if not done:
             dV = solve(-F)
             if not np.max(np.abs(dV)) < 0.5 * np.max(np.abs(dU)):
                 return None
             U = U + dV
-            F = residual_components(grid, beta, U)
-            done = _converged(grid, beta, U, F)
+            F, done = residual(U)
     return (U, solve) if done else None
 
 
@@ -561,9 +557,9 @@ def _walk(grid: RadialGrid, U, b_from: float, targets):
     less.  The tangent at an accepted state reuses the factors the
     corrector returned with it, so only the tangent at b_from costs a
     factorization of its own.  Yields the converged state at each target
-    reached, in order, and returns the coupling reached: the walk stops
-    short when the step falls under 1e-4 decade or after 400 trials
-    (corrector calls).
+    reached, in order; when the step falls under 1e-4 decade or after 400
+    trials (corrector calls) the walk stops short and raises
+    NewtonDivergence naming the coupling it reached.
     """
     pos = np.log10(b_from)
     tangent = factors = previous = None
@@ -588,41 +584,34 @@ def _walk(grid: RadialGrid, U, b_from: float, targets):
             else:
                 step *= 0.35
                 if abs(step) < 1e-4 or trials >= 400:
-                    return 10.0**pos
+                    raise NewtonDivergence(
+                        f"branch walk stalled near coupling {10.0**pos:.4g}")
         yield U
-    return 10.0**pos
-
-
-def _walk_beta(grid: RadialGrid, U, b_from: float, targets):
-    """The states `_walk` yields, in a list, and the coupling it reached."""
-    states, walk = [], _walk(grid, U, b_from, targets)
-    while True:
-        try:
-            states.append(next(walk))
-        except StopIteration as stop:
-            return states, stop.value
 
 
 def _walk_polished(grid: RadialGrid, U, b_from: float, targets, coarse):
-    """`_walk_beta`'s (states, reached) on grid, walked on coarse = (level,
-    the state at b_from there) unless it is None: each target `_walk`
-    reaches on level is interpolated onto grid and polished by one
-    `_correct` before the walk goes on; a target at b_from keeps U.
-    From the first target missed or whose polish is rejected,
-    `_walk_beta` walks grid from its last state."""
-    states = []
+    """`_walk` on grid, walked on coarse = (level, the state at b_from
+    there) unless it is None: each target `_walk` reaches on level is
+    interpolated onto grid and polished by one `_correct` before the
+    walk goes on; a target at b_from keeps U.  From the first target the
+    level's walk stalls before or whose polish is rejected, grid is
+    walked from its last state, and only a stall of that walk raises."""
+    done = 0
     if coarse is not None:
         level, V = coarse
-        for beta, W in zip(targets, _walk(level, V, b_from, targets)):
-            if beta != b_from:
-                polished = _correct(grid, beta, _prolong(grid, level, W))
-                if polished is None:
-                    break
-                # drop the polish's factors before the next one is made
-                U, b_from, polished = polished[0], beta, None
-            states.append(U)
-    walked, reached = _walk_beta(grid, U, b_from, targets[len(states):])
-    return states + walked, reached
+        try:
+            for beta, W in zip(targets, _walk(level, V, b_from, targets)):
+                if beta != b_from:
+                    polished = _correct(grid, beta, _prolong(grid, level, W))
+                    if polished is None:
+                        break
+                    # drop the polish's factors before the next one is made
+                    U, b_from, polished = polished[0], beta, None
+                yield U
+                done += 1
+        except NewtonDivergence:
+            pass
+    yield from _walk(grid, U, b_from, targets[done:])
 
 
 def _prolong(grid: RadialGrid, level: RadialGrid, V: np.ndarray) -> np.ndarray:
@@ -669,9 +658,10 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     polish is rejected, the grid is walked as before.  The walk up stays
     on the grid: its layers narrow below the half grid's four nodes.
 
-    A failed stage, including one beyond a walk stall, is reported as a
-    `StageFailure` warning naming its cause and is absent from the
-    records; the other stages are unaffected.  An anchor whose finest
+    A failed stage is reported as a `StageFailure` warning naming its
+    cause and is absent from the records; the other stages are
+    unaffected.  Each leg's stages beyond a walk stall fail with the
+    NewtonDivergence the stalled walk raised.  An anchor whose finest
     level does not converge raises NewtonDivergence.  It does so on the
     line with h >= 2, e.g. (N, n, r_max) = (1, 513, 30) with h = 3: there
     the anchor stalls for real, at a residual of about 2.5e-4.  Energy
@@ -704,12 +694,12 @@ def continuation(profile: NodalProfile, assignment: Assignment,
     for targets, coarse in (([b for b in reversed(schedule) if b <= anchor],
                              half),
                             ([b for b in schedule if b > anchor], None)):
-        walked, reached = _walk_polished(grid, U, anchor, targets, coarse)
-        states.update(zip(targets, walked))
-        for beta in targets[len(walked):]:
-            stalls[beta] = NewtonDivergence(
-                f"branch walk stalled near coupling {reached:.4g}"
-            )
+        try:
+            for beta, V in zip(targets,
+                               _walk_polished(grid, U, anchor, targets, coarse)):
+                states[beta] = V
+        except NewtonDivergence as exc:
+            stalls.update((b, exc) for b in targets if b not in states)
     # walked states are compressed relative to the segregated guess, so
     # re-locate the bump centers before cutting them into pulses
     reference = [int(np.argmax(p)) for p in guess.pulses]

@@ -435,13 +435,14 @@ def _pulses_tagged(tag):
     return spoil
 
 
-def _profile_value(key, value):
-    # a profile.json value of the wrong JSON type
+def _profile_value(key, value, named=None):
+    # a profile.json value of the wrong JSON type, or out of range; the
+    # message names the key as the check that rejects it does
     def spoil(run):
         meta = json.loads((run / "profile.json").read_text())
         meta[key] = value
         (run / "profile.json").write_text(json.dumps(meta))
-        return ["report", "--run", str(run)], repr(key)
+        return ["report", "--run", str(run)], named or repr(key)
 
     return spoil
 
@@ -482,14 +483,15 @@ def _output_dir_not_a_string(run):
     "spoil",
     [_pulses_tagged("10.bak"), _profile_without_node_radii,
      _pulses_missing_a_column, _profile_not_json, _pulses_not_numbers,
-     _output_dir_not_a_string, _profile_value("n_points", "257"),
-     _profile_value("h", "2"), _profile_value("r_max", None),
+     _output_dir_not_a_string, _profile_value("n_points", "257", "n_points"),
+     _profile_value("h", "2"), _profile_value("r_max", None, "r_max"),
+     _profile_value("dimension", 2.5, "dimension"),
      _profile_value("c_infinity", "x"), _pulses_tagged("nan"),
      _pulses_tagged("-5"), _pulses_tagged("inf"), _pulses_tagged("1e400")],
     ids=["stray-file", "missing-key", "missing-column", "not-json",
          "not-numbers", "output-dir", "n-points-string", "h-string",
-         "r-max-null", "c-infinity-string", "tag-nan", "tag-negative",
-         "tag-inf", "tag-overflow"])
+         "r-max-null", "dimension-fraction", "c-infinity-string", "tag-nan",
+         "tag-negative", "tag-inf", "tag-overflow"])
 def test_malformed_run_input_is_a_config_error(sweep_pair, tmp_path, capsys, spoil):
     # each escaped main as a traceback with exit 1: ValueError from the
     # file's tag, KeyError, IndexError, JSONDecodeError, ValueError from

@@ -335,25 +335,46 @@ def test_continuation_makes_one_newton_call_of_its_own(profile_h2, assignment_h2
     assert sorted(maximized) == [1.0, 10.0, 100.0]
 
 
-def test_walk_stall_fails_only_the_stages_beyond_it(profile_h2, assignment_h2,
-                                                    monkeypatch):
+@pytest.fixture(scope="module")
+def h2_pair(profile_h2, assignment_h2):
+    return profile_h2, assignment_h2
+
+
+@pytest.mark.parametrize("pair, schedule, bands, kept, near", [
+    # the walk down on the one-level (2, 1025, 30) stalls above beta = 50
+    ("h2_pair", (1.0, 10.0, 100.0), {1025: (0.0, 50.0)}, [100.0],
+     (50.0, 100.0)),
+    # the walk up from the anchor stalls under beta = 3e4
+    ("h2_pair", (1e3, 1e4, 1e5, 1e6), {1025: (3e4, np.inf)}, [1e3, 1e4],
+     (1e4, 3e4)),
+    # on the reference sweep's grid the 2049-node half walk stalls above
+    # beta = 500, and the 4097-node walk from the polished 1e3 stage above
+    # 50: the stages beyond name the grid's stall
+    ("sweep_ref_profile", (1.0, 10.0, 100.0, 1e3, 1e4),
+     {2049: (0.0, 500.0), 4097: (0.0, 50.0)}, [100.0, 1e3, 1e4],
+     (50.0, 100.0)),
+], ids=["down", "up", "half-then-grid"])
+def test_walk_stall_fails_only_the_stages_beyond_it(pair, schedule, bands, kept,
+                                                    near, request, monkeypatch):
+    profile, assignment = request.getfixturevalue(pair)
     real = af.solver._correct
-    def reject_weak(grid, beta, U):
-        return None if beta < 50.0 else real(grid, beta, U)
-    monkeypatch.setattr("artifact.solver._correct", reject_weak)
-    cfg = af.SolverConfig(beta_schedule=(1.0, 10.0, 100.0))
+    def reject_band(grid, beta, U):
+        lo, hi = bands.get(grid.n_points, (0.0, 0.0))
+        return None if lo < beta < hi else real(grid, beta, U)
+    monkeypatch.setattr("artifact.solver._correct", reject_band)
+    cfg = af.SolverConfig(beta_schedule=schedule)
     with pytest.warns(af.StageFailure) as caught:
-        recs = af.continuation(profile_h2, assignment_h2, cfg)
+        recs = af.continuation(profile, assignment, cfg)
     messages = [str(w.message) for w in caught
                 if issubclass(w.category, af.StageFailure)]
     assert [m.split(" failed")[0] for m in messages] == [
-        "stage beta=1", "stage beta=10"]
+        f"stage beta={b:g}" for b in schedule if b not in kept]
     for m in messages:
         assert "branch walk stalled near coupling" in m
         reached = float(m.rsplit(" ", 1)[1])
-        assert 50.0 <= reached < 100.0
-    assert [r.beta for r in recs] == [100.0]
-    assert recs[0].accepted
+        assert near[0] <= reached < near[1]
+    assert [r.beta for r in recs] == kept
+    assert all(r.accepted for r in recs)
 
 
 def test_tangent_predictor_is_first_order(guess_h2):
@@ -595,9 +616,8 @@ def test_walked_strong_coupling_residual_equals_the_per_component_loop(
     g = profile.grid
     guess = af.initial_guess(profile, assignment)
     U, _, _ = af.coupled_newton(g, 1e4, guess.components())
-    [U], _ = af.solver._walk_beta(g, U, 1e4, [5e3])
-    [U], reached = af.solver._walk_beta(g, U, 5e3, [1e4])
-    assert reached == 1e4
+    [U] = list(af.solver._walk(g, U, 1e4, [5e3]))
+    [U] = list(af.solver._walk(g, U, 5e3, [1e4]))
     assert ((np.abs(U) < 1e-154) & (U != 0.0)).any()
     assert np.array_equal(af.residual_components(g, 1e4, U),
                           _residual_loop(g, 1e4, U))
@@ -626,8 +646,8 @@ def test_walk_factors_only_its_first_tangent_outside_the_corrector(
 
     monkeypatch.setattr("artifact.solver._jacobian_solver", factor)
     monkeypatch.setattr("artifact.solver._correct", correct)
-    states, reached = af.solver._walk_beta(g, U, 1000.0, [100.0, 10.0, 1.0])
-    assert len(states) == 3 and reached == 1.0
+    states = list(af.solver._walk(g, U, 1000.0, [100.0, 10.0, 1.0]))
+    assert len(states) == 3
     assert len(outside) == 1 and len(inside) > 3
 
 
@@ -645,7 +665,9 @@ def test_sweep_anchor_damping_is_predicted(sweep_dense_profile):
     g = profile.grid
     guess = af.initial_guess(profile, assignment)
     U, res, steps = af.coupled_newton(g, 1e4, guess.components())
-    assert af.solver._converged(g, 1e4, U, af.residual_components(g, 1e4, U))
+    F = af.residual_components(g, 1e4, U)
+    assert af.grid.converged(F, np.max(np.abs(F)), af.solver.NEWTON_TOL,
+                             af.solver._row_terms(g, 1e4), U)
     assert steps <= 65
 
 
@@ -835,7 +857,9 @@ def test_anchor_level_accepts_a_stall_at_the_normwise_roundoff(monkeypatch):
     solves = _anchor_solves(profile, af.build_assignment((1, 2, 1)), monkeypatch)
     assert [level.n_points for level, _, _ in solves] == [2049, 4097, 8193, 16385]
     _, U, res = solves[-1]
-    assert not af.solver._converged(g, 1e4, U, af.residual_components(g, 1e4, U))
+    F = af.residual_components(g, 1e4, U)
+    assert not af.grid.converged(F, np.max(np.abs(F)), af.solver.NEWTON_TOL,
+                                 af.solver._row_terms(g, 1e4), U)
     assert res < af.grid.ROUNDOFF * af.solver._row_terms(g, 1e4)(U)[0]
 
 
@@ -897,8 +921,8 @@ def test_reference_sweep_walks_down_on_the_half_grid(sweep_ref_profile,
     assert len(failures) == 1
     assert failures[0].startswith("stage beta=1 failed: scaling saddle")
     assert sorted(factors) == [2049, 4097] and factors[4097] <= 16
-    walked, reached = af.solver._walk_beta(g, anchor, 1e4, schedule[::-1])
-    assert reached == 1.0
+    walked = list(af.solver._walk(g, anchor, 1e4, schedule[::-1]))
+    assert len(walked) == len(schedule)
     walked = dict(zip(schedule[::-1], walked))
     for rec in recs:
         U = states[rec.beta]
@@ -958,7 +982,7 @@ def test_half_walk_stalled_at_a_fold_walks_the_grid(ball_profile,
     assert failures == []
     assert [r.beta for r in recs] == list(schedule)
     assert all(r.accepted for r in recs)
-    walked, reached = af.solver._walk_beta(g, anchor, 1e4, schedule[::-1])
-    assert reached == 1.0
+    walked = list(af.solver._walk(g, anchor, 1e4, schedule[::-1]))
+    assert len(walked) == len(schedule)
     for beta, W in zip(schedule[::-1], walked):
         assert np.array_equal(states[beta], W)
