@@ -102,11 +102,11 @@ def _check_grid(dimension, n_points, r_max) -> None:
     # True is an Integral equal to 1; numpy integers are Integrals too
     if (not isinstance(dimension, numbers.Integral) or dimension is True
             or dimension not in (1, 2, 3)):
-        raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension}")
+        raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension!r}")
     if not isinstance(n_points, numbers.Integral):
-        raise ConfigError(f"n_points must be an integer, got {n_points}")
+        raise ConfigError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 16:
-        raise ConfigError(f"n_points must be at least 16, got {n_points}")
+        raise ConfigError(f"n_points must be at least 16, got {n_points!r}")
     if (not isinstance(r_max, numbers.Real) or isinstance(r_max, bool)
             or not 0 < r_max < np.inf):
         raise ConfigError(f"r_max must be positive and finite, got {r_max!r}")

@@ -14,7 +14,9 @@ Scaling vectors are indexed by bump order l = 1..h.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -154,25 +156,36 @@ def _stationary(Q, lam, gn):
     return gn <= GRADIENT_TOL * max(1.0, float(np.linalg.norm(Q @ lam)))
 
 
+@cache
+def _rays(h: int) -> np.ndarray:
+    """64 fixed unit rays in the positive orthant of R^h, read-only:
+    |gauss(0, 1)| from the standard library's generator seeded 1905,
+    since numpy.random would load OpenSSL (about 5 MB) to draw them."""
+    draw = random.Random(1905)
+    rays = np.abs([[draw.gauss(0.0, 1.0) for _ in range(h)] for _ in range(64)])
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    rays.flags.writeable = False
+    return rays
+
+
 def maximize_phi(beta: float, ensemble: PulseEnsemble, x0=None) -> MaximizerReport:
     """Maximize the scaling energy over positive scalings.
 
     Modified Newton from the ones vector (or x0) on the polynomial form
     of phi, built once per call, so an iterate costs O(h^4) and no grid
     pass; backtracking keeps positivity.  Raises DegeneratePulse on a
-    vanishing pulse, UnboundedEnergy when one of 64 fixed rays (seed 1905)
-    has nonnegative quartic growth or the iterates diverge, SaddleScaling
-    at a stationary point whose Hessian is not negative definite (see
-    `_stationary`), and NonConvergence when the gradient norm does not
-    fall under GRADIENT_TOL.
+    vanishing pulse, UnboundedEnergy when one of 64 fixed rays (`_rays`,
+    the standard library's, seed 1905) has nonnegative quartic growth or
+    the iterates diverge, SaddleScaling at a stationary point whose
+    Hessian is not negative definite (see `_stationary`), and
+    NonConvergence when the gradient norm does not fall under GRADIENT_TOL.
     """
     h = ensemble.assignment.h
     Q, D = _tensors(beta, ensemble)
     for l in range(h):
         if np.sqrt(Q[l, l]) < 1e-10:
             raise DegeneratePulse(f"pulse {l + 1} has numerically zero norm")
-    rays = np.abs(np.random.default_rng(1905).standard_normal((64, h)))
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    rays = _rays(h)
     if np.any(np.einsum("lspq,xl,xs,xp,xq->x", D, rays, rays, rays, rays) >= 0):
         raise UnboundedEnergy(
             "scaling energy grows without bound along a sampled ray"

@@ -493,7 +493,8 @@ def _correct(grid: RadialGrid, beta: float, U: np.ndarray):
     (`grid.accepts`), as the walk retries it with a shorter step.  The
     returned solve holds the Jacobian factors one or two steps before the
     state, for `_tangent`; it is None when the prediction was converged
-    already.
+    already.  Each factorization's solve is dropped before the next one
+    is made, so one set of factors is alive at a time.
     """
     rows = _row_terms(grid, beta)
 
@@ -506,6 +507,7 @@ def _correct(grid: RadialGrid, beta: float, U: np.ndarray):
     for _ in range(20):
         if done:
             return U, solve
+        solve = None  # free the last factors before the next are made
         solve = _jacobian_solver(grid, beta, U)
         dU = solve(-F)
         U = U + dU
@@ -554,32 +556,38 @@ def _walk(grid: RadialGrid, U, b_from: float, targets):
     down runs on (see `continuation`).  The log-coupling step grows by
     1.7 after an accepted trial and shrinks by 0.35 after a rejected
     one, and every segment between targets starts at 0.25 decade or
-    less.  The tangent at an accepted state reuses the factors the
-    corrector returned with it, so only the tangent at b_from costs a
-    factorization of its own.  Yields the converged state at each target
-    reached, in order; when the step falls under 1e-4 decade or after 400
-    trials (corrector calls) the walk stops short and raises
-    NewtonDivergence naming the coupling it reached.
+    less.  The tangent at an accepted state is taken at once, on the
+    factors the corrector returned with it, and then those factors are
+    dropped: the walk holds none between trials or while it waits at a
+    yield, as when `_walk_polished` polishes the stage on the grid.  Only
+    the tangent at b_from costs a factorization of its own, and the one
+    at a leg's last target is a solve that no trial uses.  Yields the
+    converged state at each target reached, in order; when the step
+    falls under 1e-4 decade or after 400 trials (corrector calls) the
+    walk stops short and raises NewtonDivergence naming the coupling it
+    reached.
     """
     pos = np.log10(b_from)
-    tangent = factors = previous = None
+    tangent = None
     trials = 0
     for b_to in targets:
         lt = np.log10(b_to)
         step = float(np.clip(lt - pos, -0.25, 0.25))
         while pos != lt:
             if tangent is None:
-                tangent = _tangent(grid, 10.0**pos, U, factors)
-                # free those factors before the corrector makes its own
-                factors = corrected = None
-                predict = _predictor(pos, U, tangent, previous)
+                tangent = _tangent(grid, 10.0**pos, U)
+                predict = _predictor(pos, U, tangent, None)
             trial = pos + step if abs(step) < abs(lt - pos) else lt
             beta = b_to if trial == lt else 10.0**trial
             corrected = _correct(grid, beta, predict(trial - pos))
             trials += 1
             if corrected is not None:
                 previous = (pos, U, tangent)
-                (U, factors), pos, tangent = corrected, trial, None
+                (U, factors), pos = corrected, trial
+                tangent = _tangent(grid, 10.0**pos, U, factors)
+                # free those factors before anything makes its own
+                factors = corrected = None
+                predict = _predictor(pos, U, tangent, previous)
                 step *= 1.7
             else:
                 step *= 0.35

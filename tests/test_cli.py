@@ -173,6 +173,7 @@ def _run_fresh(code):
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 SCIPY_PACKAGES = ("scipy.integrate", "scipy.linalg", "scipy.sparse",
@@ -201,6 +202,33 @@ def test_no_route_imports_the_scipy_integrate_package():
         af.find_nodal_solution(g, 2)
         assert not loaded(), loaded()
     """)
+
+
+def test_no_certifying_run_loads_numpy_random():
+    # in a fresh interpreter, since the test modules import numpy.random,
+    # whose bit generators load OpenSSL through secrets and hashlib: the
+    # scaling maximizer draws its rays from the standard library
+    skip = _run_fresh("""
+        import sys
+        import numpy
+        if "numpy.random" in sys.modules:
+            print("this numpy imports numpy.random with itself")
+            sys.exit()
+        import artifact as af
+        import artifact.cli
+        g = af.build_grid(2, 513, 30.0)
+        profile = af.compute_c_infinity(g, 2)
+        records = af.continuation(profile, af.build_assignment((1, 2)),
+                                  af.SolverConfig((100.0,)))
+        assert len(records) == 1
+        af.maximize_phi(100.0, records[0].ensemble)
+        af.minimize_m_beta(100.0, records[0].ensemble)
+        loaded = [m for m in ("numpy.random", "secrets", "_hashlib")
+                  if m in sys.modules]
+        assert not loaded, loaded
+    """)
+    if skip:
+        pytest.skip(skip)
 
 
 def test_shots_equal_the_scipy_integrate_package_ode():

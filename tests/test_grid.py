@@ -42,9 +42,10 @@ def test_build_grid_rejects(dim, n, rmax):
 
 def test_build_grid_names_the_value_it_rejects():
     # a float node count was truncated, a bool or float dimension kept,
-    # and r_max True ran as 1.0
+    # and r_max True ran as 1.0; a string reads as one
     for args, value in [((2, 100.7, 30.0), "100.7"), ((True, 100, 30.0), "True"),
-                        ((2.0, 100, 30.0), "2.0"), ((2, 100, True), "True")]:
+                        ((2.0, 100, 30.0), "2.0"), ((2, 100, True), "True"),
+                        ((2, "257", 30.0), "'257'"), (("2", 100, 30.0), "'2'")]:
         with pytest.raises(af.ConfigError, match=f"got {value}$"):
             af.build_grid(*args)
     g = af.build_grid(np.int64(2), np.int32(100), 30.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import artifact as af
-from artifact.nehari import _poly, _tensors
+from artifact.nehari import _poly, _rays, _tensors
 
 
 def gaussian_pulses(grid, centers, widths, amps):
@@ -210,6 +210,16 @@ def test_unbounded_on_strong_overlap(small_grid):
     ens = ensemble_on(small_grid, (1, 2), P)
     with pytest.raises(af.UnboundedEnergy):
         af.maximize_phi(50.0, ens)
+
+
+@pytest.mark.parametrize("h", [1, 3, 5])
+def test_rays_are_fixed_unit_rays_in_the_positive_orthant(h):
+    rays = _rays(h)
+    assert rays.shape == (64, h)
+    assert np.all(rays > 0)
+    assert np.allclose(np.linalg.norm(rays, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert not rays.flags.writeable
+    assert _rays(h) is rays
 
 
 def test_degenerate_pulse(small_grid):

@@ -2,6 +2,7 @@
 pulse re-extraction, and the staged continuation driver."""
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -929,6 +930,43 @@ def test_reference_sweep_walks_down_on_the_half_grid(sweep_ref_profile,
         assert np.max(np.abs(U - walked[rec.beta])) < 1e-10
         energy = _stage_energy(g, rec.beta, walked[rec.beta])
         assert abs(rec.energy - energy) <= 1e-14 * abs(energy)
+
+
+def _live_factorizations(profile, assignment, schedule, monkeypatch):
+    """The most Jacobian factorizations alive at once in a continuation,
+    counted as each one is requested from weak references to the solves
+    returned before it."""
+    real = af.solver._jacobian_solver
+    solves, most = [], [0]
+
+    def factor(grid, beta, U):
+        live = sum(ref() is not None for ref in solves)
+        most[0] = max(most[0], live + 1)
+        solve = real(grid, beta, U)
+        solves.append(weakref.ref(solve))
+        return solve
+
+    monkeypatch.setattr("artifact.solver._jacobian_solver", factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", af.StageFailure)
+        recs = af.continuation(profile, assignment,
+                               af.SolverConfig(beta_schedule=schedule))
+    monkeypatch.undo()
+    assert recs and len(solves) > 10
+    return most[0]
+
+
+def test_one_factorization_alive_at_a_time(sweep_ref_profile, profile_h2,
+                                           assignment_h2, monkeypatch):
+    # the corrector frees its factors before it makes the next, and the
+    # walk takes the tangent on them before it yields a stage, so the
+    # half walk holds none while its stage is polished on the grid; on
+    # the reference sweep (anchor levels, half walk and polish) and on a
+    # one-level grid walked down and up
+    schedule = (1.0, 10.0, 100.0, 1e3, 1e4)
+    assert _live_factorizations(*sweep_ref_profile, schedule, monkeypatch) == 1
+    assert _live_factorizations(profile_h2, assignment_h2, schedule + (1e5,),
+                                monkeypatch) == 1
 
 
 def test_rejected_polish_walks_the_grid_on(sweep_ref_profile, monkeypatch):
